@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--steps", type=int, default=200, help="number of time steps")
     ap.add_argument("--bc", choices=[ABSORBING, PERIODIC], default=ABSORBING,
                     help="velocity boundary mode")
-    ap.add_argument("--workers", type=int, default=1, help="worker threads")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="worker threads for the x-advection speed groups")
     ap.add_argument("--force-slow-path", action="store_true",
                     help="route every cell through the generalized-overlap path")
     ap.add_argument("--table2", metavar="ROW",

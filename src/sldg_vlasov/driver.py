@@ -234,7 +234,7 @@ class Simulation:
         advect_x(self.f, self.x_plan, workers=c.workers)
         e_field = self.field_solve()
         advect_velocity(self.f, e_field, c.dt, self.sweep_plan, bc=c.bc,
-                        workers=c.workers, force_slow=c.force_slow)
+                        force_slow=c.force_slow)
         advect_x(self.f, self.x_plan, workers=c.workers)
         self.t += c.dt
         return self.diagnostics(e_field)

@@ -9,7 +9,6 @@ and applied everywhere.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,23 +35,28 @@ class ShiftDecomposition:
     frac: float
 
 
-def decompose_shift(speed: float, dt: float, width: float) -> ShiftDecomposition:
+def decompose_shift(speed, dt: float, width: float) -> ShiftDecomposition:
     """Split speed*dt/width into floor and remainder with the remainder in [0, 1).
 
     A remainder within one ulp of 1.0 is folded to (n_shift + 1, 0) to avoid
-    degenerate zero-width overlap intervals.
+    degenerate zero-width overlap intervals.  `speed` may be an array; the
+    fields then have its shape.
     """
     if width <= 0.0:
         raise ValueError(f"cell width must be positive, got {width}")
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    ratio = speed * dt / width
-    n = math.floor(ratio)
+    ratio = np.asarray(speed, dtype=float) * dt / width
+    if not np.isfinite(ratio).all():
+        raise ValueError(f"shift speed*dt/width must be finite, got speed {speed}")
+    n = np.floor(ratio)
     frac = ratio - n
-    if frac >= _ONE_MINUS_ULP:
-        n += 1
-        frac = 0.0
-    return ShiftDecomposition(n, frac)
+    fold = frac >= _ONE_MINUS_ULP
+    n_shift = (n + fold).astype(np.int64)
+    frac = np.where(fold, 0.0, frac)
+    if ratio.ndim == 0:
+        return ShiftDecomposition(int(n_shift), float(frac))
+    return ShiftDecomposition(n_shift, frac)
 
 
 @dataclass(frozen=True)
@@ -69,17 +73,22 @@ class OverlapPair:
     frac: float
 
 
-def _interval_block(basis: DGBasis, lo: float, hi: float, src_offset: float) -> np.ndarray:
-    """Integral of l_j(xi) * l_j'(xi + src_offset) over [lo, hi], indexed [j, j']."""
+def _interval_block(basis: DGBasis, lo, hi, src_offset) -> np.ndarray:
+    """Integral of l_j(xi) * l_j'(xi + src_offset) over [lo, hi], indexed [..., j, j'].
+
+    The bounds and offset broadcast against each other; each combination
+    yields one (p+1, p+1) block.
+    """
+    lo, hi, src_offset = (np.asarray(a, dtype=float)[..., None] for a in (lo, hi, src_offset))
     half = 0.5 * (hi - lo)
     pts = lo + half * (basis.gauss_nodes + 1.0)
     wts = half * basis.gauss_weights
     dest = basis.eval_all(pts)
     src = basis.eval_all(pts + src_offset)
-    return dest.T @ (wts[:, None] * src)
+    return np.swapaxes(dest, -1, -2) @ (wts[..., None] * src)
 
 
-def overlap_pair(basis: DGBasis, frac: float) -> OverlapPair:
+def overlap_pair(basis: DGBasis, frac) -> OverlapPair:
     """Build the two overlap matrices for fractional shift frac in [0, 1).
 
     The matrices realize the exact L2 projection of the translated
@@ -88,16 +97,22 @@ def overlap_pair(basis: DGBasis, frac: float) -> OverlapPair:
     xi in [2*frac - 1, 1] (source coordinate xi - 2*frac) and in the left
     neighbor for xi in [-1, 2*frac - 1] (source coordinate xi + 2 - 2*frac);
     both integrands have degree 2p, so the 2p+2-point Gauss rule is exact.
+    `frac` may be an array of shifts; the matrices are then stacked,
+    shaped frac.shape + (p+1, p+1).  A zero shift gives exactly (I, 0).
     """
-    if not 0.0 <= frac < 1.0:
+    frac = np.asarray(frac, dtype=float)
+    if not ((0.0 <= frac) & (frac < 1.0)).all():
         raise ValueError(f"fractional shift must lie in [0, 1), got {frac}")
-    o = basis.n_nodes
-    if frac == 0.0:
-        return OverlapPair(np.eye(o), np.zeros((o, o)), 0.0)
     split = 2.0 * frac - 1.0
-    same_raw = _interval_block(basis, split, 1.0, -2.0 * frac)
-    nb_raw = _interval_block(basis, -1.0, split, 2.0 * (1.0 - frac))
-    return OverlapPair(basis.mass_inv @ same_raw, basis.mass_inv @ nb_raw, frac)
+    one = np.ones_like(frac)
+    # Same-cell block first, neighbor block second, in one batch.
+    same, neighbor = basis.mass_inv @ _interval_block(
+        basis, np.array([split, -one]), np.array([one, split]),
+        np.array([-2.0 * frac, 2.0 * (1.0 - frac)]))
+    zero = (frac == 0.0)[..., None, None]
+    same = np.where(zero, np.eye(basis.n_nodes), same)
+    neighbor = np.where(zero, 0.0, neighbor)
+    return OverlapPair(same, neighbor, float(frac) if frac.ndim == 0 else frac)
 
 
 def shifted_source(values: np.ndarray, k: int, bc: str) -> np.ndarray:

@@ -1,34 +1,28 @@
 """Hybrid fast/slow SLDG sweep over one velocity direction of an AMR mesh.
 
-Conforming cells reuse per-level precomputed overlap matrices (the cost of
-the uniform-grid method); nonconforming cells at refinement boundaries
-evaluate generalized overlap integrals against every source cell that
-intersects the foot interval.  A coarse cell appearing in several finer
-pencils enters each one prolonged to the GLL nodes of that pencil's
-transverse rectangle; its pencil results are L2-projected back onto its
-transverse basis and summed (weighted accumulation).  The restrictions of
-a cell's entries sum to the identity on its prolongations, so mass and
-every transverse moment of degree <= p are preserved.
+The sweep assembles, per pencil group and swept column, one dense linear
+operator on a pencil line and applies it to all of the group's lines with
+one batched product.  Conforming cells take their level's precomputed
+overlap pair at index offsets (the cost of the uniform-grid method);
+nonconforming cells at refinement boundaries take generalized overlap
+blocks against every source cell that intersects the foot interval.  A
+coarse cell appearing in several finer pencils enters each one prolonged
+to the GLL nodes of that pencil's transverse rectangle; its pencil results
+are L2-projected back onto its transverse basis and summed (weighted
+accumulation).  The restrictions of a cell's entries sum to the identity
+on its prolongations, so mass and every transverse moment of degree <= p
+are preserved.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import DGBasis
 from .pencil import PencilSet
-from .sldg1d import (
-    ABSORBING,
-    PERIODIC,
-    OverlapPair,
-    ShiftDecomposition,
-    apply_update,
-    check_bc,
-    decompose_shift,
-    overlap_pair,
-)
+from .sldg1d import ABSORBING, PERIODIC, check_bc, decompose_shift, overlap_pair
+from .sldg1d import apply_update  # noqa: F401 - the traced benchmark wraps vsweep.apply_update
 from .tensor import TensorPermutation
 from .vmesh import VelocityMesh
 
@@ -39,43 +33,38 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class LevelMatrices:
-    """Per-refinement-level shift decompositions and overlap pairs."""
+    """Per-refinement-level shift decompositions and overlap pairs.
 
-    speed: float
+    For an array of speeds, each level's n_shift and frac have the speeds'
+    shape and its pair holds the matrices stacked in the same shape.
+    """
+
+    speed: float | np.ndarray
     dt: float
     n_shift: tuple
     frac: tuple
     pairs: tuple
 
 
-def precompute_level_matrices(basis: DGBasis, speed: float, dt: float,
+def precompute_level_matrices(basis: DGBasis, speed, dt: float,
                               base_width: float, n_levels: int) -> LevelMatrices:
     """Shift decomposition and overlap pair for each level 0..n_levels-1.
 
     Level widths halve per level, so each level gets its own fractional
     shift; the resulting pair is reused for every conforming cell at that
     level, which keeps the per-cell cost identical to a uniform grid.
+    `speed` may be an array of column speeds.
     """
-    n_shift, frac, pairs = [], [], []
-    for lev in range(n_levels):
-        d = decompose_shift(speed, dt, base_width / 2**lev)
-        n_shift.append(d.n_shift)
-        frac.append(d.frac)
-        pairs.append(overlap_pair(basis, d.frac))
-    return LevelMatrices(speed, dt, tuple(n_shift), tuple(frac), tuple(pairs))
+    shifts = [decompose_shift(speed, dt, base_width / 2**lev) for lev in range(n_levels)]
+    return LevelMatrices(speed, dt, tuple(d.n_shift for d in shifts),
+                         tuple(d.frac for d in shifts),
+                         tuple(overlap_pair(basis, d.frac) for d in shifts))
 
 
-@dataclass(frozen=True)
-class GeneralizedOverlap:
-    """Projection block from one source cell onto one destination cell.
-
-    `matrix` already includes the inverse mass matrix; [lo, hi] is the
-    overlap of the foot interval with the source cell, in foot coordinates.
-    """
-
-    matrix: np.ndarray
-    lo: float
-    hi: float
+# The column sweep calls this under a private name, so that wrapping the
+# public single-speed entry point (as perfbench/spans.py does) sees only
+# its direct callers.
+_level_matrices = precompute_level_matrices
 
 
 def _overlap_blocks(basis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp):
@@ -94,36 +83,9 @@ def _overlap_blocks(basis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp):
     sref = 2.0 * (pts - src_lo[:, None]) / src_w[:, None] - 1.0
     dest = basis.eval_all(dref)
     src = basis.eval_all(sref)
-    raw = np.einsum("nq,nqi,nqj->nij", wts, dest, src, optimize=True)
+    raw = np.swapaxes(dest, 1, 2) @ (wts[:, :, None] * src)
     raw *= (2.0 / dest_w)[:, None, None]
     return raw
-
-
-def generalized_overlap(basis: DGBasis, dest_lo: float, dest_width: float,
-                        src_lo: float, src_width: float,
-                        displacement: float) -> GeneralizedOverlap:
-    """Cross-size projection block for a destination/source cell pair.
-
-    The foot interval is the destination cell shifted upstream by
-    `displacement`; an empty intersection with the source cell yields the
-    zero matrix.
-    """
-    if dest_width <= 0 or src_width <= 0:
-        raise ValueError("cell widths must be positive")
-    o = basis.n_nodes
-    foot_lo = dest_lo - displacement
-    vl = max(foot_lo, src_lo)
-    vr = min(foot_lo + dest_width, src_lo + src_width)
-    if vr <= vl:
-        return GeneralizedOverlap(np.zeros((o, o)), vl, vl)
-    raw = _overlap_blocks(
-        basis,
-        np.array([vl]), np.array([vr]),
-        np.array([dest_lo]), np.array([dest_width]),
-        np.array([src_lo]), np.array([src_width]),
-        np.array([displacement]),
-    )[0]
-    return GeneralizedOverlap(basis.mass_inv @ raw, vl, vr)
 
 
 def _fast_sources_ok(s, n_shift, levels, bc):
@@ -151,40 +113,89 @@ def _fast_sources_ok(s, n_shift, levels, bc):
 
 
 def _foot_segments(foot_lo, width, disp, bc, radius):
-    """Split a foot interval into in-domain segments.
+    """Split foot intervals into in-domain segments.
 
-    Each segment carries the effective displacement mapping its (possibly
-    wrapped) coordinates back to destination coordinates.  Periodic feet
-    are reduced modulo the domain length first, so arbitrarily large
-    displacements wrap cleanly; a reduced foot still straddling the upper
-    boundary splits in two.
+    Returns (owner, lo, hi, disp) arrays with one entry per segment: the
+    index of its foot interval, its bounds, and the effective displacement
+    mapping its (possibly wrapped) coordinates back to destination
+    coordinates.  Periodic feet are reduced modulo the domain length first,
+    so arbitrarily large displacements wrap cleanly; a reduced foot still
+    straddling the upper boundary splits in two.  Absorbing segments are
+    clipped to the domain and may be empty.
     """
     foot_hi = foot_lo + width
+    owner = np.arange(len(foot_lo))
     if bc == ABSORBING:
-        a = max(foot_lo, -radius)
-        b = min(foot_hi, radius)
-        return [(a, b, disp)] if b > a else []
+        return owner, np.maximum(foot_lo, -radius), np.minimum(foot_hi, radius), disp
     span = 2.0 * radius
     k = np.floor((foot_lo + radius) / span)
     a = foot_lo - k * span
     b = foot_hi - k * span
-    if b <= radius:
-        return [(a, b, disp + k * span)]
-    return [(a, radius, disp + k * span),
-            (-radius, b - span, disp + (k + 1.0) * span)]
+    wrap = b > radius
+    return (np.concatenate([owner, owner[wrap]]),
+            np.concatenate([a, np.full(int(wrap.sum()), -radius)]),
+            np.concatenate([np.minimum(b, radius), b[wrap] - span]),
+            np.concatenate([disp + k * span, disp[wrap] + (k[wrap] + 1.0) * span]))
+
+
+def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conforming,
+                      bc, radius, basis: DGBasis, force_slow: bool) -> np.ndarray:
+    """Dense SLDG update operators of one pencil layout, one per speed.
+
+    `lm` holds the level matrices of the speeds and `disp` their
+    displacements speed*dt.  Returns (n_speeds, n*(p+1), n*(p+1)) operators
+    acting on a line's values in sweep order.  A conforming destination
+    cell whose sources sit at its own level for that speed's shift takes
+    its level's same/neighbor pair at index offsets; every other cell (all
+    of them with `force_slow`) sums generalized overlap blocks against the
+    source cells its foot interval meets.  Absorbing boundaries read zero
+    outside [-radius, radius]; periodic boundaries wrap foot coordinates by
+    multiples of the domain length.
+    """
+    o = basis.n_nodes
+    n = len(lowers)
+    disp = np.reshape(disp, -1)
+    n_cols = disp.size
+    shift = np.stack([np.reshape(lm.n_shift[lev], -1) for lev in levels], axis=1)
+    fast = np.zeros((n_cols, n), dtype=bool)
+    if not force_slow:
+        for s in np.nonzero(conforming)[0]:
+            for ns in np.unique(shift[:, s]):
+                if _fast_sources_ok(s, ns, levels, bc):
+                    fast[:, s] |= shift[:, s] == ns
+    # op[j, s, :, c, :] is the block mapping source cell c to destination s.
+    op = np.zeros((n_cols, n, o, n, o))
+
+    j, s = np.nonzero(fast)
+    if j.size:
+        same = np.stack([np.reshape(pair.same, (n_cols, o, o)) for pair in lm.pairs])
+        nb = np.stack([np.reshape(pair.neighbor, (n_cols, o, o)) for pair in lm.pairs])
+        q = s - shift[j, s]
+        for src, mats in ((q, same[levels[s], j]), (q - 1, nb[levels[s], j])):
+            ok = (bc == PERIODIC) | ((src >= 0) & (src < n))
+            op[j[ok], s[ok], :, src[ok] % n] = mats[ok]
+
+    j, s = np.nonzero(~fast)
+    if j.size:
+        seg, a, b, de = _foot_segments(lowers[s] - disp[j], widths[s], disp[j], bc, radius)
+        vl = np.maximum(a[:, None], lowers)
+        vr = np.minimum(b[:, None], lowers + widths)
+        r, c = np.nonzero(vr - vl > 1e-14 * widths[s[seg]][:, None])
+        dest = s[seg[r]]
+        raw = _overlap_blocks(basis, vl[r, c], vr[r, c], lowers[dest], widths[dest],
+                              lowers[c], widths[c], de[r])
+        np.add.at(op, (j[seg[r]], dest, slice(None), c), basis.mass_inv @ raw)
+    return op.reshape(n_cols, n * o, n * o)
 
 
 def sweep_pencil(values, lowers, widths, levels, conforming, speed, dt,
                  lm: LevelMatrices, bc, radius, basis: DGBasis,
                  force_slow: bool = False):
-    """Hybrid SLDG update of one pencil, batched over leading axes.
+    """Hybrid SLDG update of one pencil at one speed, batched over leading axes.
 
-    `values` has shape (..., n_cells, p+1) in sweep order.  Conforming
-    cells apply the precomputed same-level matrices; the rest locate their
-    source cells by coordinate search along the pencil and accumulate
-    generalized overlap contributions.  Absorbing boundaries read zero
-    outside [-radius, radius]; periodic boundaries wrap foot coordinates
-    by multiples of the domain length.
+    `values` has shape (..., n_cells, p+1) in sweep order and `lm` holds the
+    level matrices of `speed`.  The pencil's operator is assembled as in
+    the column sweep and applied to every line.
     """
     check_bc(bc)
     values = np.asarray(values, dtype=float)
@@ -194,60 +205,9 @@ def sweep_pencil(values, lowers, widths, levels, conforming, speed, dt,
         raise SweepError(
             f"pencil values shaped {values.shape[-2:]}, expected ({n}, {o})"
         )
-    disp = speed * dt
-
-    # Whole-pencil fast path: a conforming uniform pencil is exactly the
-    # uniform-grid method, including its wrap/zero-fill boundary handling.
-    if (not force_slow) and bool(conforming.all()) and (levels == levels[0]).all():
-        lev = int(levels[0])
-        dcmp = ShiftDecomposition(lm.n_shift[lev], lm.frac[lev])
-        return apply_update(values, dcmp, lm.pairs[lev], bc)
-
-    out = np.zeros(values.shape)
-    uppers = lowers + widths
-    slow_dest = []
-    for s in range(n):
-        lev = int(levels[s])
-        ns = lm.n_shift[lev]
-        if (not force_slow) and conforming[s] and _fast_sources_ok(s, ns, levels, bc):
-            pair = lm.pairs[lev]
-            q_same, q_nb = s - ns, s - ns - 1
-            acc = 0.0
-            for q, mat in ((q_same, pair.same), (q_nb, pair.neighbor)):
-                if bc == PERIODIC:
-                    acc = acc + values[..., q % n, :] @ mat.T
-                elif 0 <= q < n:
-                    acc = acc + values[..., q, :] @ mat.T
-            out[..., s, :] = acc
-        else:
-            slow_dest.append(s)
-
-    if slow_dest:
-        recs = []
-        for s in slow_dest:
-            for a, b, de in _foot_segments(lowers[s] - disp, widths[s], disp, bc, radius):
-                c0 = int(np.searchsorted(uppers, a, side="right"))
-                c1 = int(np.searchsorted(lowers, b, side="left")) - 1
-                for c in range(max(c0, 0), min(c1, n - 1) + 1):
-                    vl = max(a, lowers[c])
-                    vr = min(b, uppers[c])
-                    if vr - vl > 1e-14 * widths[s]:
-                        recs.append((s, c, vl, vr, de))
-        if recs:
-            s_idx = np.array([r[0] for r in recs])
-            c_idx = np.array([r[1] for r in recs])
-            raw = _overlap_blocks(
-                basis,
-                np.array([r[2] for r in recs]),
-                np.array([r[3] for r in recs]),
-                lowers[s_idx], widths[s_idx],
-                lowers[c_idx], widths[c_idx],
-                np.array([r[4] for r in recs]),
-            )
-            mats = np.matmul(basis.mass_inv, raw)
-            for m, (s, c, _, _, _) in enumerate(recs):
-                out[..., s, :] += values[..., c, :] @ mats[m].T
-    return out
+    op = _pencil_operators(lm, speed * dt, lowers, widths, levels, conforming,
+                           bc, radius, basis, force_slow)[0]
+    return (values.reshape(-1, n * o) @ op.T).reshape(values.shape)
 
 
 @dataclass
@@ -332,7 +292,7 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
 
     Pencils with identical cell layout (same coordinates, widths, levels)
     share their update operator for any speed, so their transverse lines
-    are batched into one matrix operation per destination cell.  Cells
+    are batched into one matrix product per swept column.  Cells
     lying in several pencils get per-entry transverse prolongation and
     restriction matrices (Kronecker products of the 1D ones).  Raises
     SweepError unless the pencil weights of every cell sum to one.
@@ -439,19 +399,20 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
 
 
 def pack_columns(f, cols: slice, plan: SweepPlan) -> np.ndarray:
-    """Packed copies, shaped (n_cols, plan.n_packed), of the columns f[:, cols].
+    """Packed copies, shaped (plan.n_packed, n_cols), of the columns f[:, cols].
 
-    The prolongation runs once for the whole block of columns: a batched
-    product over shared entries with the columns folded into the matrix
-    width.
+    Each packed column is one column of the result, so the block keeps the
+    row layout of f.  The prolongation runs once for the whole block: a
+    batched product over shared entries with the columns folded into the
+    matrix width.
     """
     n_shared, n_tl, _ = plan.prolong.shape
     block = f[:, cols]
-    out = np.empty((block.shape[1], plan.n_packed))
-    out[:, : plan.n_dofs] = block.T
+    out = np.empty((plan.n_packed, block.shape[1]))
+    out[: plan.n_dofs] = block
     if n_shared:
         src = f[plan.src_rows, cols].reshape(n_shared, n_tl, -1)
-        out[:, plan.n_dofs :] = (plan.prolong @ src).reshape(-1, block.shape[1]).T
+        out[plan.n_dofs :] = (plan.prolong @ src).reshape(-1, block.shape[1])
     return out
 
 
@@ -462,31 +423,18 @@ def write_back(f, cols: slice, packed, plan: SweepPlan) -> None:
     receives the sum of its entries' restrictions, the L2 projection of its
     piecewise pencil results onto its transverse basis.
     """
-    n_cols = packed.shape[0]
-    f[:, cols] = packed[:, : plan.n_dofs].T
+    n_cols = packed.shape[1]
+    f[:, cols] = packed[: plan.n_dofs]
     if plan.shared:
-        res = packed[:, plan.n_dofs :].T.reshape(len(plan.prolong), plan.prolong.shape[1], -1)
+        res = packed[plan.n_dofs :].reshape(len(plan.prolong), plan.prolong.shape[1], -1)
         for sc in plan.shared:
             part = res[sc.entries].reshape(len(sc.restrict), sc.restrict.shape[2], -1)
             f[sc.rows, cols] = (sc.restrict @ part).reshape(-1, n_cols)
 
 
-def _sweep_column(v, speed, dt, plan, bc, force_slow):
-    """Sweep one packed column in place; groups own disjoint positions."""
-    basis = plan.basis
-    o = basis.n_nodes
-    lm = precompute_level_matrices(basis, speed, dt, plan.base_width, plan.n_levels)
-    for g in plan.groups:
-        res = sweep_pencil(
-            v[g.gather].reshape(g.n_lines, g.n_cells, o),
-            g.lowers, g.widths, g.levels, g.conforming,
-            speed, dt, lm, bc, plan.radius, basis, force_slow,
-        )
-        v[g.gather] = res.reshape(g.n_lines, -1)
-
-
-# Columns are packed and written back this many at a time: the transfer
-# products are batched over a block, and the packed copy stays a few MB.
+# Columns are swept this many at a time: the transfer products and the
+# operator assembly are batched over a block, and the packed copy stays a
+# few MB.
 _COLUMN_BLOCK = 16
 
 
@@ -498,15 +446,15 @@ def _column_blocks(cols):
 
 
 def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
-                    workers: int = 1, force_slow: bool = False):
+                    force_slow: bool = False):
     """Advect every spatial column of the field along the plan's direction.
 
     `f` has shape (n_velocity_dofs, n_x_dofs); column ix moves with speed
     speeds[ix].  Columns with exactly zero speed are skipped, leaving their
-    bits untouched.  Columns are packed and written back in blocks; within
-    a block they are independent, so they are distributed over worker
-    threads, and each column's arithmetic is identical regardless of the
-    worker count.  Updates f in place and returns it.
+    bits untouched.  The moving columns go in blocks of consecutive ones:
+    each block is packed, every pencil group assembles one operator per
+    column and applies it to all of its lines with one batched product,
+    and the block is written back.  Updates f in place and returns it.
     """
     check_bc(bc)
     speeds = np.asarray(speeds, dtype=float)
@@ -517,18 +465,14 @@ def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
     cols = np.nonzero(speeds != 0.0)[0]
     if cols.size == 0:
         return f
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for block in _column_blocks(cols):
-            packed = pack_columns(f, block, plan)
-            block_speeds = speeds[block]
-
-            def sweep(j):
-                _sweep_column(packed[j], block_speeds[j], dt, plan, bc, force_slow)
-
-            list((pool.map if pool else map)(sweep, range(len(packed))))
-            write_back(f, block, packed, plan)
-    finally:
-        if pool:
-            pool.shutdown()
+    basis = plan.basis
+    for block in _column_blocks(cols):
+        packed = pack_columns(f, block, plan)
+        lm = _level_matrices(basis, speeds[block], dt, plan.base_width, plan.n_levels)
+        for g in plan.groups:
+            op = _pencil_operators(lm, speeds[block] * dt, g.lowers, g.widths, g.levels,
+                                   g.conforming, bc, plan.radius, basis, force_slow)
+            lines = packed[g.gather].transpose(2, 0, 1)
+            packed[g.gather] = (lines @ op.transpose(0, 2, 1)).transpose(1, 2, 0)
+        write_back(f, block, packed, plan)
     return f

@@ -3,6 +3,8 @@
 The long benchmark criteria (5, 6, 7) run full simulations and take a few
 minutes each; everything else completes in seconds.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import (
     LANDAU_RATE_K05,
     SimConfig,
+    Simulation,
     fit_damping_rate,
     run,
 )
@@ -197,20 +200,17 @@ def test_criterion_9_fit_oracle():
 
 
 def test_criterion_concurrency_determinism():
-    rng = np.random.default_rng(1010)
+    # Strang steps with 1 and 4 worker threads (the x-advection speed groups
+    # are threaded) on the 4^3+AMR1 and uniform 4^3 meshes.
     worst = 0.0
     for n_base, levels in ((4, 1), (4, 0)):
-        basis = DGBasis(3)
-        mesh = build_mesh(3, n_base, levels, 6.0)
-        perm = build_permutation(basis, 3)
-        pset = classify_conforming(extract_pencils(mesh, 0), mesh, "absorbing")
-        plan = build_sweep_plan(mesh, pset, perm, basis)
-        f = rng.standard_normal((plan.n_dofs, 8))
-        speeds = rng.uniform(-2.0, 2.0, size=8)
-        fa, fb = f.copy(), f.copy()
-        advect_velocity(fa, speeds, 0.1, plan, workers=1)
-        advect_velocity(fb, speeds, 0.1, plan, workers=4)
-        worst = max(worst, np.abs(fa - fb).max())
+        cfg = SimConfig(dim=3, n_base=n_base, levels=levels, degree=3, n_x=8,
+                        perturbation=0.05, dt=0.2, n_steps=2)
+        sims = [Simulation(replace(cfg, workers=w)) for w in (1, 4)]
+        for _ in range(cfg.n_steps):
+            for sim in sims:
+                sim.step()
+        worst = max(worst, np.abs(sims[0].f - sims[1].f).max())
     ok = worst <= 1e-12
     _report(10, ok, f"worker count 1 vs 4 max difference {worst:.3e} (<= 1e-12)")
     assert ok

@@ -47,6 +47,8 @@ def test_decompose_rejects_bad_inputs():
         decompose_shift(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         decompose_shift(1.0, 1.0, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        decompose_shift(np.array([0.5, np.nan]), 1.0, 1.0)
 
 
 def test_overlap_zero_shift_is_identity():
@@ -54,6 +56,27 @@ def test_overlap_zero_shift_is_identity():
     pair = overlap_pair(basis, 0.0)
     assert np.array_equal(pair.same, np.eye(4))
     assert np.array_equal(pair.neighbor, np.zeros((4, 4)))
+
+
+def test_batched_shift_and_overlap_match_scalar():
+    # Arrays of speeds (as the velocity sweep passes per column block) give
+    # the scalar decomposition exactly, including the fold just below 1, and
+    # the scalar overlap pairs to round-off; a zero shift stays exact.
+    basis = DGBasis(3)
+    speeds = np.array([2.3, -0.25, 0.0, np.nextafter(1.0, 0.0), -7.9, 1e-300])
+    d = decompose_shift(speeds, 1.0, 1.0)
+    pairs = overlap_pair(basis, d.frac)
+    assert pairs.same.shape == (speeds.size, 4, 4)
+    for k, speed in enumerate(speeds):
+        ref = decompose_shift(float(speed), 1.0, 1.0)
+        assert (d.n_shift[k], d.frac[k]) == (ref.n_shift, ref.frac)
+        pair = overlap_pair(basis, ref.frac)
+        np.testing.assert_allclose(pairs.same[k], pair.same, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pairs.neighbor[k], pair.neighbor, rtol=0, atol=1e-15)
+    assert (d.n_shift[3], d.frac[3]) == (1, 0.0)
+    assert np.array_equal(pairs.same[2], np.eye(4))
+    with pytest.raises(ValueError):
+        overlap_pair(basis, np.array([0.5, 1.0]))
 
 
 def test_overlap_rejects_out_of_range():

@@ -1,5 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import velocity_dof_coords, velocity_dof_weights
@@ -9,14 +13,52 @@ from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.vsweep import (
     SweepError,
+    _overlap_blocks,
+    _pencil_operators,
     advect_velocity,
     build_sweep_plan,
-    generalized_overlap,
     pack_columns,
     precompute_level_matrices,
     sweep_pencil,
     write_back,
 )
+
+
+@dataclass(frozen=True)
+class GeneralizedOverlap:
+    """Projection block from one source cell onto one destination cell.
+
+    `matrix` already includes the inverse mass matrix; [lo, hi] is the
+    overlap of the foot interval with the source cell, in foot coordinates.
+    """
+
+    matrix: np.ndarray
+    lo: float
+    hi: float
+
+
+def generalized_overlap(basis, dest_lo, dest_width, src_lo, src_width, displacement):
+    """Cross-size projection block for one destination/source cell pair.
+
+    The foot interval is the destination cell shifted upstream by
+    `displacement`; an empty intersection with the source cell yields the
+    zero matrix.  The sweep computes the same blocks in batches through
+    `_overlap_blocks`.
+    """
+    o = basis.n_nodes
+    foot_lo = dest_lo - displacement
+    vl = max(foot_lo, src_lo)
+    vr = min(foot_lo + dest_width, src_lo + src_width)
+    if vr <= vl:
+        return GeneralizedOverlap(np.zeros((o, o)), vl, vl)
+    raw = _overlap_blocks(
+        basis,
+        np.array([vl]), np.array([vr]),
+        np.array([dest_lo]), np.array([dest_width]),
+        np.array([src_lo]), np.array([src_width]),
+        np.array([displacement]),
+    )[0]
+    return GeneralizedOverlap(basis.mass_inv @ raw, vl, vr)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +73,23 @@ def amr_setup():
     coords = velocity_dof_coords(mesh, basis, perm)
     weights = velocity_dof_weights(mesh, basis, perm)
     return basis, mesh, perm, plans, coords, weights
+
+
+@pytest.fixture(scope="module")
+def sweep_plans():
+    # Direction-0 plans on the 4^3+AMR1, 4^3+AMR2 and 8^3+AMR1 meshes, p=3,
+    # both boundary modes, with the velocity quadrature weights.  Only the
+    # 8^3 mesh has conforming cells in pencils that change level.
+    basis = DGBasis(3)
+    perm = build_permutation(basis, 3)
+    out = {}
+    for n_base, levels in ((4, 1), (4, 2), (8, 1)):
+        mesh = build_mesh(3, n_base, levels, 6.0)
+        weights = velocity_dof_weights(mesh, basis, perm)
+        for bc in ("absorbing", "periodic"):
+            pset = classify_conforming(extract_pencils(mesh, 0), mesh, bc)
+            out[n_base, levels, bc] = (build_sweep_plan(mesh, pset, perm, basis), weights)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +190,10 @@ def _amr_pencil(basis):
     return lowers, widths, levels, conforming
 
 
-def test_sweep_uniform_bitwise_equals_apply_update():
+def test_sweep_uniform_operator_matches_apply_update():
+    # A conforming uniform pencil's operator is the uniform-grid update:
+    # destination cell s reads only cells s - n and s - n - 1 (wrapped), and
+    # applying it matches apply_update.
     basis = DGBasis(3)
     rng = np.random.default_rng(41)
     n = 5
@@ -140,12 +202,19 @@ def test_sweep_uniform_bitwise_equals_apply_update():
     levels = np.zeros(n, dtype=np.int64)
     conforming = np.ones(n, dtype=bool)
     vals = rng.standard_normal((7, n, 4))
-    lm = precompute_level_matrices(basis, 1.3, 0.4, 2.4, 1)
-    out = sweep_pencil(vals, lowers, widths, levels, conforming, 1.3, 0.4,
-                       lm, "periodic", 6.0, basis)
-    ref = apply_update(vals, ShiftDecomposition(lm.n_shift[0], lm.frac[0]),
-                       lm.pairs[0], "periodic")
-    assert np.array_equal(out, ref)
+    for speed in (1.3, -7.9):  # n_shift 0 and -2
+        lm = precompute_level_matrices(basis, speed, 0.4, 2.4, 1)
+        ns = lm.n_shift[0]
+        op = _pencil_operators(lm, speed * 0.4, lowers, widths, levels, conforming,
+                               "periodic", 6.0, basis, False)[0]
+        blocks = op.reshape(n, 4, n, 4).transpose(0, 2, 1, 3)
+        nonzero = {(s, c) for s in range(n) for c in range(n) if blocks[s, c].any()}
+        assert nonzero == {(s, (s - ns - k) % n) for s in range(n) for k in (0, 1)}
+        out = sweep_pencil(vals, lowers, widths, levels, conforming, speed, 0.4,
+                           lm, "periodic", 6.0, basis)
+        ref = apply_update(vals, ShiftDecomposition(lm.n_shift[0], lm.frac[0]),
+                           lm.pairs[0], "periodic")
+        assert np.abs(out - ref).max() <= 1e-14
 
 
 def test_sweep_amr_mass_conserved_absorbing():
@@ -226,10 +295,10 @@ def test_weighted_writeback_copy_and_average(amr_setup):
     single[np.concatenate([sc.rows for sc in plan.shared])] = False
     assert single.any() and not single.all()
 
-    packed = rng.standard_normal((3, plan.n_packed))
+    packed = rng.standard_normal((plan.n_packed, 3))
     f = np.zeros((plan.n_dofs, 3))
     write_back(f, cols, packed, plan)
-    assert np.array_equal(f[single], packed[:, : plan.n_dofs].T[single])
+    assert np.array_equal(f[single], packed[: plan.n_dofs][single])
 
     f = rng.standard_normal((plan.n_dofs, 3))
     before = f.copy()
@@ -318,16 +387,19 @@ def test_advect_hybrid_vs_forced_slow(amr_setup):
     assert np.abs(fa - fb).max() <= 1e-12
 
 
-def test_advect_workers_bitwise(amr_setup):
+def test_advect_column_blocks_independent(amr_setup):
+    # Columns share a block's batched assembly and product, not their
+    # arithmetic: sweeping 20 columns (two blocks) at once matches sweeping
+    # each column alone.
     basis, mesh, perm, plans, coords, weights = amr_setup
     rng = np.random.default_rng(71)
-    f = rng.standard_normal((plans["absorbing"].n_dofs, 6))
-    speeds = rng.uniform(-1.5, 1.5, size=6)
-    fa = f.copy()
-    fb = f.copy()
-    advect_velocity(fa, speeds, 0.1, plans["absorbing"], workers=1)
-    advect_velocity(fb, speeds, 0.1, plans["absorbing"], workers=4)
-    assert np.array_equal(fa, fb)
+    speeds = rng.uniform(-1.5, 1.5, size=20)
+    for bc, plan in plans.items():
+        f = rng.standard_normal((plan.n_dofs, speeds.size))
+        together = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
+        for j in range(speeds.size):
+            alone = advect_velocity(f[:, j : j + 1].copy(), speeds[j : j + 1], 0.1, plan, bc=bc)
+            assert np.abs(alone[:, 0] - together[:, j]).max() <= 1e-14, (bc, j)
 
 
 def test_advect_maxwellian_constant_field(amr_setup):
@@ -363,3 +435,33 @@ def test_sweep_plan_group_layout(amr_setup):
     restored = np.zeros(plan.n_dofs, dtype=bool)
     restored[np.concatenate([sc.rows for sc in plan.shared])] = True
     assert ((covered[: plan.n_dofs] == 1) ^ restored).all()
+
+
+# Speeds: zero, tiny, and displacements up to 3 domain lengths (12 / dt).
+_speeds = st.one_of(
+    st.just(0.0),
+    st.floats(-1e-12, 1e-12),
+    st.floats(-360.0, 360.0, allow_subnormal=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(mesh=(8, 1), bc="periodic", speeds=[47.0, 0.0, -47.0], seed=0)
+@given(mesh=st.sampled_from([(4, 1), (4, 2), (8, 1)]),
+       bc=st.sampled_from(["absorbing", "periodic"]),
+       speeds=st.lists(_speeds, min_size=1, max_size=20), seed=st.integers(0, 2**32 - 1))
+def test_advect_batched_sweep_properties(sweep_plans, mesh, bc, speeds, seed):
+    # Random column blocks (zero speeds split the moving runs) with shifts of
+    # many cells, where the per-(cell, column) fast-path check sends
+    # conforming cells whose sources cross a level change to the slow path.
+    plan, weights = sweep_plans[(*mesh, bc)]
+    speeds = np.array(speeds)
+    f = np.random.default_rng(seed).random((plan.n_dofs, speeds.size))
+    hybrid = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
+    slow = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc, force_slow=True)
+    assert np.abs(hybrid - slow).max() <= 1e-12
+    still = speeds == 0.0
+    assert np.array_equal(hybrid[:, still], f[:, still])
+    if bc == "periodic":
+        mass0 = weights @ f
+        assert (np.abs(weights @ hybrid - mass0) / mass0).max() <= 1e-13
