@@ -1,94 +1,15 @@
 """Semi-Lagrangian DG Vlasov-Poisson solver on adaptively refined velocity meshes."""
 
-from .basis import DGBasis, gauss_rule, gll_rule
-from .driver import (
-    DampingFit,
-    DiagnosticsRecord,
-    LANDAU_RATE_K05,
-    RunResult,
-    SimConfig,
-    Simulation,
-    fit_damping_rate,
-    moments,
-    run,
-)
-from .pencil import PencilSet, classify_conforming, extract_pencils
-from .sldg1d import (
-    ABSORBING,
-    PERIODIC,
-    OverlapPair,
-    ShiftDecomposition,
-    apply_update,
-    decompose_shift,
-    overlap_pair,
-    projection_oracle,
-)
-from .tensor import TensorPermutation, build_permutation, pack_line, scatter_line
-from .vmesh import VelocityCell, VelocityMesh, build_mesh, dump_mesh, ip_count
-from .vsweep import (
-    LevelMatrices,
-    SweepPlan,
-    advect_velocity,
-    build_sweep_plan,
-    precompute_level_matrices,
-    sweep_pencil,
-)
-from .xfield import (
-    PoissonSolver,
-    XGrid,
-    advect_x,
-    compute_E,
-    compute_rho,
-    field_energy,
-    precompute_x_matrices,
-    solve_poisson,
-)
+from .driver import RunResult, SimConfig, Simulation, fit_damping_rate, run
+from .vmesh import ip_count
+from .vsweep import advect_velocity
 
 __all__ = [
-    "ABSORBING",
-    "PERIODIC",
-    "LANDAU_RATE_K05",
-    "DGBasis",
-    "DampingFit",
-    "DiagnosticsRecord",
-    "LevelMatrices",
-    "OverlapPair",
-    "PencilSet",
-    "PoissonSolver",
     "RunResult",
-    "ShiftDecomposition",
     "SimConfig",
     "Simulation",
-    "SweepPlan",
-    "TensorPermutation",
-    "VelocityCell",
-    "VelocityMesh",
-    "XGrid",
     "advect_velocity",
-    "advect_x",
-    "apply_update",
-    "build_mesh",
-    "build_permutation",
-    "build_sweep_plan",
-    "classify_conforming",
-    "compute_E",
-    "compute_rho",
-    "decompose_shift",
-    "dump_mesh",
-    "extract_pencils",
-    "field_energy",
     "fit_damping_rate",
-    "gauss_rule",
-    "gll_rule",
     "ip_count",
-    "moments",
-    "overlap_pair",
-    "pack_line",
-    "precompute_level_matrices",
-    "precompute_x_matrices",
-    "projection_oracle",
     "run",
-    "scatter_line",
-    "solve_poisson",
-    "sweep_pencil",
 ]

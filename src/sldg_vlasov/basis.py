@@ -127,10 +127,6 @@ class DGBasis:
         diffs = x[..., None] - self.nodes
         return diffs[..., self._others].prod(axis=-1) * self._inv_denoms
 
-    def eval_lagrange(self, j: int, x) -> float | np.ndarray:
-        """l_j evaluated at x, with l_j(nodes[i]) = delta_ij."""
-        return self.eval_all(x)[..., j]
-
     def _quadrature_mass(self) -> np.ndarray:
         v = self.eval_all(self.gauss_nodes)
         return v.T @ (self.gauss_weights[:, None] * v)

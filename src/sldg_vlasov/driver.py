@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DGBasis
+from .basis import MAX_DEGREE, DGBasis
 from .pencil import classify_conforming, extract_pencils
 from .sldg1d import ABSORBING, PERIODIC
 from .tensor import build_permutation
@@ -45,22 +45,29 @@ class SimConfig:
     force_slow: bool = False
 
     def validate(self) -> "SimConfig":
+        """Reject an invalid configuration with a message naming the field."""
         if self.dim not in (1, 3):
             raise ValueError(f"dim must be 1 or 3, got {self.dim}")
         if self.n_base < 2:
             raise ValueError(f"n_base must be >= 2, got {self.n_base}")
         if not 0 <= self.levels <= 3:
             raise ValueError(f"levels must be in [0, 3], got {self.levels}")
-        if self.radius <= 0 or self.wave_number <= 0:
-            raise ValueError("radius and wave_number must be positive")
-        if self.dt <= 0 or self.n_steps < 0:
-            raise ValueError("dt must be positive and n_steps nonnegative")
+        for name in ("degree", "degree_x"):
+            if not 1 <= getattr(self, name) <= MAX_DEGREE:
+                raise ValueError(f"{name} must be in [1, {MAX_DEGREE}], got {getattr(self, name)}")
+        if self.n_x < 4:
+            raise ValueError(f"n_x must be >= 4, got {self.n_x}")
+        for name in ("radius", "wave_number", "dt"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
         if self.bc not in (ABSORBING, PERIODIC):
             raise ValueError(f"bc must be absorbing or periodic, got {self.bc!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.perturbation < 1:
-            raise ValueError("perturbation must be in [0, 1)")
+            raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation}")
         return self
 
     @property
@@ -200,9 +207,7 @@ class Simulation:
         self.basis = DGBasis(c.degree)
         self.mesh = build_mesh(c.dim, c.n_base, c.levels, c.radius)
         self.perm = build_permutation(self.basis, c.dim)
-        pset = classify_conforming(
-            extract_pencils(self.mesh, 0), self.mesh, c.bc
-        )
+        pset = classify_conforming(extract_pencils(self.mesh, 0), c.bc)
         self.sweep_plan = build_sweep_plan(self.mesh, pset, self.perm, self.basis)
         self.xgrid = XGrid(c.n_x, c.degree_x, c.length)
         self.vcoords = velocity_dof_coords(self.mesh, self.basis, self.perm)
@@ -211,6 +216,7 @@ class Simulation:
         self.poisson = PoissonSolver(self.xgrid)
         self.f = sample_initial(c, self.vcoords, self.xgrid.dof_coords)
         self.t = 0.0
+        self.n_done = 0  # completed steps
 
     def field_solve(self) -> np.ndarray:
         rho = compute_rho(self.f, self.vweights)
@@ -229,14 +235,21 @@ class Simulation:
         )
 
     def step(self) -> DiagnosticsRecord:
-        """One Strang step: half-x, field solve, full-v, half-x."""
+        """One Strang step: half-x, field solve, full-v, half-x.
+
+        Raises RuntimeError, naming the step, when the solved field is not
+        finite (a non-finite f reaches it through the charge density).
+        """
         c = self.config
         advect_x(self.f, self.x_plan, workers=c.workers)
         e_field = self.field_solve()
+        if not np.isfinite(e_field).all():
+            raise RuntimeError(f"non-finite electric field at step {self.n_done + 1}")
         advect_velocity(self.f, e_field, c.dt, self.sweep_plan, bc=c.bc,
                         force_slow=c.force_slow)
         advect_x(self.f, self.x_plan, workers=c.workers)
         self.t += c.dt
+        self.n_done += 1
         return self.diagnostics(e_field)
 
     @staticmethod
@@ -249,8 +262,8 @@ class Simulation:
     def run(self) -> RunResult:
         start = time.perf_counter()
         records = [self._check_finite(self.diagnostics(self.field_solve()), 0)]
-        for n in range(self.config.n_steps):
-            records.append(self._check_finite(self.step(), n + 1))
+        for _ in range(self.config.n_steps):
+            records.append(self._check_finite(self.step(), self.n_done))
         wall = time.perf_counter() - start
 
         t = np.array([r.t for r in records])

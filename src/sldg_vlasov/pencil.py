@@ -153,8 +153,7 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
     )
 
 
-def classify_conforming(pset: PencilSet, mesh: VelocityMesh,
-                        bc: str = ABSORBING) -> PencilSet:
+def classify_conforming(pset: PencilSet, bc: str = ABSORBING) -> PencilSet:
     """Flag each pencil entry whose +-2 neighborhood sits at one level.
 
     With absorbing velocity boundaries missing neighbors beyond the pencil
@@ -182,16 +181,3 @@ def classify_conforming(pset: PencilSet, mesh: VelocityMesh,
         pset.conforming[sl] = conf
     return pset
 
-
-def dump_pencils(pset: PencilSet, path) -> None:
-    """Write the pencil entries as CSV for debugging and plotting."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("pencil,cell,lower,width,weight,conforming\n")
-        for q in range(pset.n_pencils):
-            sl = pset.pencil_slice(q)
-            for k in range(sl.start, sl.stop):
-                fh.write(
-                    f"{q},{int(pset.cell_ids[k])},{pset.lowers[k]:.17e},"
-                    f"{pset.widths[k]:.17e},{pset.weights[k]:.17e},"
-                    f"{int(pset.conforming[k])}\n"
-                )

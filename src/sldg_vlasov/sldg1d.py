@@ -5,7 +5,8 @@ characteristic and L2-projected back onto the broken DG space.  On a
 uniform pencil every destination cell couples to exactly two upstream
 source cells through a pair of overlap matrices that depend only on the
 fractional part of the shift, so the matrices are built once per shift
-and applied everywhere.
+and applied everywhere.  The same overlap-integral kernel gives the
+generalized blocks of the AMR velocity sweep.
 """
 from __future__ import annotations
 
@@ -73,44 +74,55 @@ class OverlapPair:
     frac: float
 
 
-def _interval_block(basis: DGBasis, lo, hi, src_offset) -> np.ndarray:
-    """Integral of l_j(xi) * l_j'(xi + src_offset) over [lo, hi], indexed [..., j, j'].
+def overlap_blocks(basis: DGBasis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp) -> np.ndarray:
+    """Raw overlap matrices for a batch of (destination, source) cell pairs.
 
-    The bounds and offset broadcast against each other; each combination
-    yields one (p+1, p+1) block.
+    The foot interval of a destination cell is the cell moved upstream by
+    its displacement `disp`.  Entry [n, i, j] integrates destination basis
+    function i (evaluated at the foot point moved back into the
+    destination cell) against source basis function j over the foot
+    segment [vl[n], vr[n]], scaled by 2/dest_w so the measure is the
+    destination's reference coordinate.  All arguments are 1D arrays of
+    one length; the 2p+2-point Gauss rule is exact for the degree-2p
+    integrand.  The inverse mass matrix is not applied.
     """
-    lo, hi, src_offset = (np.asarray(a, dtype=float)[..., None] for a in (lo, hi, src_offset))
-    half = 0.5 * (hi - lo)
-    pts = lo + half * (basis.gauss_nodes + 1.0)
-    wts = half * basis.gauss_weights
-    dest = basis.eval_all(pts)
-    src = basis.eval_all(pts + src_offset)
-    return np.swapaxes(dest, -1, -2) @ (wts[..., None] * src)
+    gq, gw = basis.gauss_nodes, basis.gauss_weights
+    half = 0.5 * (vr - vl)
+    pts = vl[:, None] + half[:, None] * (gq[None, :] + 1.0)
+    wts = half[:, None] * gw[None, :]
+    dref = 2.0 * (pts + disp[:, None] - dest_lo[:, None]) / dest_w[:, None] - 1.0
+    sref = 2.0 * (pts - src_lo[:, None]) / src_w[:, None] - 1.0
+    dest = basis.eval_all(dref)
+    src = basis.eval_all(sref)
+    raw = np.swapaxes(dest, 1, 2) @ (wts[:, :, None] * src)
+    raw *= (2.0 / dest_w)[:, None, None]
+    return raw
 
 
 def overlap_pair(basis: DGBasis, frac) -> OverlapPair:
     """Build the two overlap matrices for fractional shift frac in [0, 1).
 
     The matrices realize the exact L2 projection of the translated
-    piecewise-degree-p function onto the destination cell.  In destination
-    reference coordinates the foot lands in the same-index source cell for
-    xi in [2*frac - 1, 1] (source coordinate xi - 2*frac) and in the left
-    neighbor for xi in [-1, 2*frac - 1] (source coordinate xi + 2 - 2*frac);
-    both integrands have degree 2p, so the 2p+2-point Gauss rule is exact.
-    `frac` may be an array of shifts; the matrices are then stacked,
-    shaped frac.shape + (p+1, p+1).  A zero shift gives exactly (I, 0).
+    piecewise-degree-p function onto the destination cell.  They are the
+    overlap blocks of reference cells: destination and same-index source
+    [-1, 1], left neighbor [-3, -1], displacement 2*frac.  `frac` may be an
+    array of shifts; the matrices are then stacked, shaped
+    frac.shape + (p+1, p+1).  A zero shift gives exactly (I, 0).
     """
     frac = np.asarray(frac, dtype=float)
     if not ((0.0 <= frac) & (frac < 1.0)).all():
         raise ValueError(f"fractional shift must lie in [0, 1), got {frac}")
-    split = 2.0 * frac - 1.0
-    one = np.ones_like(frac)
-    # Same-cell block first, neighbor block second, in one batch.
-    same, neighbor = basis.mass_inv @ _interval_block(
-        basis, np.array([split, -one]), np.array([one, split]),
-        np.array([-2.0 * frac, 2.0 * (1.0 - frac)]))
+    d = 2.0 * frac.ravel()
+    one = np.ones_like(d)
+    lo = np.full(2 * d.size, -1.0)
+    w = np.full(2 * d.size, 2.0)
+    # Same-cell records first, neighbor records second, in one batch.
+    raw = overlap_blocks(basis, np.concatenate([-one, -one - d]), np.concatenate([one - d, -one]),
+                         lo, w, np.concatenate([-one, -3.0 * one]), w, np.tile(d, 2))
+    o = basis.n_nodes
+    same, neighbor = (basis.mass_inv @ raw).reshape((2,) + frac.shape + (o, o))
     zero = (frac == 0.0)[..., None, None]
-    same = np.where(zero, np.eye(basis.n_nodes), same)
+    same = np.where(zero, np.eye(o), same)
     neighbor = np.where(zero, 0.0, neighbor)
     return OverlapPair(same, neighbor, float(frac) if frac.ndim == 0 else frac)
 
@@ -150,41 +162,3 @@ def apply_update(values, decomp: ShiftDecomposition, pair: OverlapPair, bc: str 
     src_nb = shifted_source(values, decomp.n_shift + 1, bc)
     return src_same @ pair.same.T + src_nb @ pair.neighbor.T
 
-
-def projection_oracle(values, displacement: float, width: float, basis: DGBasis,
-                      bc: str = PERIODIC):
-    """Brute-force reference for apply_update, used only by tests.
-
-    Translates the piecewise polynomial by `displacement` and projects it
-    onto each destination cell by direct 50-point Gauss quadrature over
-    every overlap subinterval.  Cell i spans [i*width, (i+1)*width).
-    """
-    check_bc(bc)
-    values = np.asarray(values, dtype=float)
-    n, o = values.shape
-    gq, gw = np.polynomial.legendre.leggauss(50)
-    length = n * width
-    if bc == PERIODIC:
-        n_images = int(abs(displacement) / length) + 2
-        images = range(-n_images, n_images + 1)
-    else:
-        images = (0,)
-
-    out = np.zeros_like(values)
-    for i in range(n):
-        foot_lo = i * width - displacement
-        rhs = np.zeros(o)
-        for c in range(n):
-            for k in images:
-                src_lo = c * width + k * length
-                vl = max(foot_lo, src_lo)
-                vr = min(foot_lo + width, src_lo + width)
-                if vr <= vl:
-                    continue
-                pts = 0.5 * (vl + vr) + 0.5 * (vr - vl) * gq
-                wts = 0.5 * (vr - vl) * gw
-                src_vals = basis.eval_all(2.0 * (pts - src_lo) / width - 1.0) @ values[c]
-                dest = basis.eval_all(2.0 * (pts + displacement - i * width) / width - 1.0)
-                rhs += (2.0 / width) * ((wts * src_vals) @ dest)
-        out[i] = basis.mass_inv @ rhs
-    return out

@@ -1,12 +1,9 @@
 """Tensor-product DOF indexing for hexahedral (and interval) cells.
 
 Cell-local DOFs are ordered lexicographically, b = i + (p+1)*j + (p+1)^2*k
-with i fastest.  The factorization is nevertheless re-discovered at build
-time by tabulating the basis at the GLL grid points (each basis function
-must be 1 at exactly one grid point and ~0 at the rest), so the module
-keeps working if an external ordering is ever imposed.  Precomputed line
-index lists make packing a 1D pencil line O(p+1) instead of a scan over
-all (p+1)^3 DOFs.
+with i fastest, so DOF b is the nodal basis function of GLL grid point
+(i, j, k).  Precomputed line index lists give, per sweep direction, the
+p+1 DOFs of every 1D line through the cell.
 """
 from __future__ import annotations
 
@@ -15,12 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DGBasis
-
-_DISCOVERY_TOL = 1e-8
-
-
-class TensorProductError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -43,80 +34,21 @@ class TensorPermutation:
         return (self.degree + 1) ** self.dim
 
 
-def _tabulate(basis: DGBasis, dim: int) -> np.ndarray:
-    """Values of every cell basis function at every GLL grid point, [point, dof]."""
-    l1 = basis.eval_all(basis.nodes)  # (point, basis) in 1D
-    if dim == 1:
-        return l1
-    o = basis.n_nodes
-    t = np.einsum("ai,bj,ck->cbakji", l1, l1, l1)
-    return t.reshape(o**3, o**3)
-
-
 def build_permutation(basis: DGBasis, dim: int) -> TensorPermutation:
-    """Construct the lexicographic DOF factorization and self-check it.
-
-    Raises TensorProductError when some basis function is not nodal at a
-    unique grid point (the basis would not be tensor-product nodal).
-    """
+    """Construct the lexicographic DOF factorization of the basis."""
     if dim not in (1, 3):
         raise ValueError(f"velocity dimension must be 1 or 3, got {dim}")
     o = basis.n_nodes
-    n_local = o**dim
-
-    ids = np.arange(n_local)
+    ids = np.arange(o**dim)
     if dim == 1:
-        forward = ids[:, None]
-    else:
-        forward = np.stack([ids % o, (ids // o) % o, ids // (o * o)], axis=1)
+        return TensorPermutation(basis.degree, dim, ids[:, None], (ids[None, :].copy(),))
 
-    # Discovery pass: each basis function must evaluate to ~1 at exactly one
-    # grid point and ~0 elsewhere, and that point must match the forward map.
-    tab = _tabulate(basis, dim)
-    for b in range(n_local):
-        col = np.abs(tab[:, b])
-        near_one = np.nonzero(col >= 1.0 - _DISCOVERY_TOL)[0]
-        if len(near_one) != 1:
-            raise TensorProductError(f"DOF {b} is not nodal at a unique grid point")
-        g = int(near_one[0])
-        rest = np.delete(col, g)
-        if rest.size and rest.max() > _DISCOVERY_TOL:
-            raise TensorProductError(f"DOF {b} has spurious support at other grid points")
-        if g != b:
-            raise TensorProductError(f"DOF {b} tabulates to grid point {g}")
-
-    if dim == 1:
-        lines = (ids[None, :].copy(),)
-    else:
-        sweep = np.arange(o)
-        lines = []
-        for d in range(3):
-            rows = np.empty((o * o, o), dtype=np.int64)
-            for t2 in range(o):
-                for t1 in range(o):
-                    trip = [None, None, None]
-                    t_dims = [t for t in range(3) if t != d]
-                    trip[d] = sweep
-                    trip[t_dims[0]] = t1
-                    trip[t_dims[1]] = t2
-                    rows[t1 + o * t2] = trip[0] + o * trip[1] + o * o * trip[2]
-            lines.append(rows)
-        lines = tuple(lines)
-
+    forward = np.stack([ids % o, (ids // o) % o, ids // (o * o)], axis=1)
+    # grid[k, j, i] = i + o*j + o^2*k; each transpose puts the pencil's
+    # second transverse index first and the sweep index last.
+    grid = ids.reshape(o, o, o)
+    lines = tuple(
+        np.ascontiguousarray(grid.transpose(axes)).reshape(o * o, o)
+        for axes in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+    )
     return TensorPermutation(basis.degree, dim, forward, lines)
-
-
-def line_index(perm: TensorPermutation, direction: int, t1: int, t2: int = 0) -> np.ndarray:
-    o = perm.degree + 1
-    return perm.lines[direction][t1 + o * t2]
-
-
-def pack_line(values, perm: TensorPermutation, direction: int, t1: int, t2: int = 0):
-    """Extract the p+1 cell values along `direction` at transverse pair (t1, t2)."""
-    return np.asarray(values)[line_index(perm, direction, t1, t2)]
-
-
-def scatter_line(line, values, perm: TensorPermutation, direction: int, t1: int,
-                 t2: int = 0) -> None:
-    """Inverse of pack_line: write the p+1 line values back into the cell array."""
-    np.asarray(values)[line_index(perm, direction, t1, t2)] = line

@@ -1,8 +1,8 @@
 """Adaptively refined velocity meshes (intervals in 1V, axis-aligned boxes in 3V).
 
 The mesh starts as a uniform grid over [-R, R]^d and is refined level by
-level: marked cells split into 2^d children of half the width.  The default
-marker refines the cells nearest the origin, concentrating resolution at
+level: marked cells split into 2^d children of half the width.  Each
+round marks the cells nearest the origin, concentrating resolution at
 the Maxwellian peak.  A 2:1 face balance is enforced after marking so that
 level jumps between face neighbors never exceed one.
 """
@@ -17,13 +17,7 @@ class MeshError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VelocityCell:
-    level: int
-    lo: np.ndarray
-    width: np.ndarray
-
-
+@dataclass(frozen=True, eq=False)
 class VelocityMesh:
     """Flat list of leaf cells with explicit geometry (no tree retained).
 
@@ -31,20 +25,17 @@ class VelocityMesh:
         dim: number of velocity dimensions (1 or 3).
         radius: domain half-width R; the cells tile [-R, R]^dim.
         n_base: base cells per dimension.
-        max_level: deepest refinement level requested.
         levels: (n_cells,) refinement level of each cell.
         lo: (n_cells, dim) lower corner of each cell.
         width: (n_cells, dim) cell widths; width = base_width / 2**level.
     """
 
-    def __init__(self, dim, radius, n_base, max_level, levels, lo, width):
-        self.dim = dim
-        self.radius = radius
-        self.n_base = n_base
-        self.max_level = max_level
-        self.levels = levels
-        self.lo = lo
-        self.width = width
+    dim: int
+    radius: float
+    n_base: int
+    levels: np.ndarray
+    lo: np.ndarray
+    width: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -53,13 +44,6 @@ class VelocityMesh:
     @property
     def base_width(self) -> float:
         return 2.0 * self.radius / self.n_base
-
-    def cell(self, i: int) -> VelocityCell:
-        return VelocityCell(int(self.levels[i]), self.lo[i], self.width[i])
-
-    @property
-    def cells(self) -> list[VelocityCell]:
-        return [self.cell(i) for i in range(self.n_cells)]
 
 
 def _origin_nearest_mask(lo: np.ndarray, width: np.ndarray, tol: float) -> np.ndarray:
@@ -116,15 +100,13 @@ def _balance_violators(levels, lo, width, tol):
     return mask
 
 
-def build_mesh(dim: int, n_base: int, max_level: int, radius: float,
-               marker=None) -> VelocityMesh:
+def build_mesh(dim: int, n_base: int, max_level: int, radius: float) -> VelocityMesh:
     """Build the AMR velocity mesh.
 
-    `marker` is an optional predicate VelocityCell -> bool applied once per
-    refinement round; when omitted, the cells nearest the origin are marked
-    (the 2^dim cells around the origin for even n_base; the single cell
-    containing the origin at the first round for odd n_base).  After each
-    round, 2:1 face balance is restored by refining offending coarse cells.
+    Each refinement round marks the cells nearest the origin (the 2^dim
+    cells around the origin for even n_base; the single cell containing
+    the origin at the first round for odd n_base).  After each round, 2:1
+    face balance is restored by refining offending coarse cells.
     """
     if dim not in (1, 3):
         raise MeshError(f"velocity dimension must be 1 or 3, got {dim}")
@@ -145,16 +127,7 @@ def build_mesh(dim: int, n_base: int, max_level: int, radius: float,
     levels = np.zeros(len(lo), dtype=np.int64)
 
     for _ in range(max_level):
-        if marker is None:
-            mask = _origin_nearest_mask(lo, width, tol)
-        else:
-            mask = np.array(
-                [bool(marker(VelocityCell(int(levels[i]), lo[i], width[i])))
-                 for i in range(len(levels))]
-            )
-        if not mask.any():
-            break
-        levels, lo, width = _refine(levels, lo, width, mask)
+        levels, lo, width = _refine(levels, lo, width, _origin_nearest_mask(lo, width, tol))
         for _ in range(max_level + 2):
             viol = _balance_violators(levels, lo, width, tol)
             if not viol.any():
@@ -164,24 +137,10 @@ def build_mesh(dim: int, n_base: int, max_level: int, radius: float,
             raise MeshError("2:1 balance could not be restored")
 
     order = np.lexsort(tuple(lo[:, d] for d in reversed(range(dim))))
-    return VelocityMesh(dim, float(radius), int(n_base), int(max_level),
-                        levels[order], lo[order], width[order])
+    return VelocityMesh(dim, float(radius), int(n_base), levels[order], lo[order], width[order])
 
 
 def ip_count(mesh: VelocityMesh, degree: int) -> int:
     """Total integration points: cells times (p+1)^dim."""
     return mesh.n_cells * (degree + 1) ** mesh.dim
 
-
-def dump_mesh(mesh: VelocityMesh, path) -> None:
-    """Write the cell list as CSV (id, level, lower corner, widths)."""
-    with open(path, "w", newline="\n") as fh:
-        cols = ["cell", "level"]
-        cols += [f"lo_{d}" for d in range(mesh.dim)]
-        cols += [f"h_{d}" for d in range(mesh.dim)]
-        fh.write(",".join(cols) + "\n")
-        for i in range(mesh.n_cells):
-            row = [str(i), str(int(mesh.levels[i]))]
-            row += [f"{v:.17e}" for v in mesh.lo[i]]
-            row += [f"{v:.17e}" for v in mesh.width[i]]
-            fh.write(",".join(row) + "\n")

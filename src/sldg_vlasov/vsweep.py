@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import DGBasis
 from .pencil import PencilSet
-from .sldg1d import ABSORBING, PERIODIC, check_bc, decompose_shift, overlap_pair
+from .sldg1d import ABSORBING, PERIODIC, check_bc, decompose_shift, overlap_blocks, overlap_pair
 from .sldg1d import apply_update  # noqa: F401 - the traced benchmark wraps vsweep.apply_update
 from .tensor import TensorPermutation
 from .vmesh import VelocityMesh
@@ -39,8 +39,6 @@ class LevelMatrices:
     shape and its pair holds the matrices stacked in the same shape.
     """
 
-    speed: float | np.ndarray
-    dt: float
     n_shift: tuple
     frac: tuple
     pairs: tuple
@@ -56,7 +54,7 @@ def precompute_level_matrices(basis: DGBasis, speed, dt: float,
     `speed` may be an array of column speeds.
     """
     shifts = [decompose_shift(speed, dt, base_width / 2**lev) for lev in range(n_levels)]
-    return LevelMatrices(speed, dt, tuple(d.n_shift for d in shifts),
+    return LevelMatrices(tuple(d.n_shift for d in shifts),
                          tuple(d.frac for d in shifts),
                          tuple(overlap_pair(basis, d.frac) for d in shifts))
 
@@ -65,27 +63,6 @@ def precompute_level_matrices(basis: DGBasis, speed, dt: float,
 # public single-speed entry point (as perfbench/spans.py does) sees only
 # its direct callers.
 _level_matrices = precompute_level_matrices
-
-
-def _overlap_blocks(basis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp):
-    """Raw generalized overlap matrices for a batch of (dest, src) pairs.
-
-    Entry [n, i, j] integrates the destination basis function i (evaluated
-    at the foot point mapped back into the destination cell) against source
-    basis function j over [vl[n], vr[n]], scaled by 2/dest_w; the 2p+2-point
-    Gauss rule is exact for the degree-2p integrand.
-    """
-    gq, gw = basis.gauss_nodes, basis.gauss_weights
-    half = 0.5 * (vr - vl)
-    pts = vl[:, None] + half[:, None] * (gq[None, :] + 1.0)
-    wts = half[:, None] * gw[None, :]
-    dref = 2.0 * (pts + disp[:, None] - dest_lo[:, None]) / dest_w[:, None] - 1.0
-    sref = 2.0 * (pts - src_lo[:, None]) / src_w[:, None] - 1.0
-    dest = basis.eval_all(dref)
-    src = basis.eval_all(sref)
-    raw = np.swapaxes(dest, 1, 2) @ (wts[:, :, None] * src)
-    raw *= (2.0 / dest_w)[:, None, None]
-    return raw
 
 
 def _fast_sources_ok(s, n_shift, levels, bc):
@@ -182,8 +159,8 @@ def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conformin
         vr = np.minimum(b[:, None], lowers + widths)
         r, c = np.nonzero(vr - vl > 1e-14 * widths[s[seg]][:, None])
         dest = s[seg[r]]
-        raw = _overlap_blocks(basis, vl[r, c], vr[r, c], lowers[dest], widths[dest],
-                              lowers[c], widths[c], de[r])
+        raw = overlap_blocks(basis, vl[r, c], vr[r, c], lowers[dest], widths[dest],
+                             lowers[c], widths[c], de[r])
         np.add.at(op, (j[seg[r]], dest, slice(None), c), basis.mass_inv @ raw)
     return op.reshape(n_cols, n * o, n * o)
 

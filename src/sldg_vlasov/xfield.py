@@ -63,7 +63,8 @@ class XAdvectionPlan:
 def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
     """One shift decomposition and overlap pair per distinct speed.
 
-    Velocity DOFs sharing the same sweep coordinate share their matrices;
+    The decompositions and pairs of all distinct speeds are built in one
+    batch.  Velocity DOFs sharing the same sweep coordinate share them;
     zero-speed rows get the exact identity pair and are skipped when the
     plan is applied.
     """
@@ -71,12 +72,15 @@ def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
     if not np.isfinite(speeds).all():
         raise ValueError("advection speeds must be finite")
     uniq, inverse = np.unique(speeds, return_inverse=True)
-    groups = []
-    for u in range(len(uniq)):
-        rows = np.nonzero(inverse == u)[0]
-        d = decompose_shift(uniq[u], dt, xgrid.h)
-        groups.append(_SpeedGroup(rows, d, overlap_pair(xgrid.basis, d.frac)))
-    return XAdvectionPlan(xgrid.n_cells, tuple(groups))
+    d = decompose_shift(uniq, dt, xgrid.h)
+    pair = overlap_pair(xgrid.basis, d.frac)
+    groups = tuple(
+        _SpeedGroup(np.nonzero(inverse == u)[0],
+                    ShiftDecomposition(int(d.n_shift[u]), float(d.frac[u])),
+                    OverlapPair(pair.same[u], pair.neighbor[u], float(d.frac[u])))
+        for u in range(len(uniq))
+    )
+    return XAdvectionPlan(xgrid.n_cells, groups)
 
 
 def _advect_rows(f, group, n_cells):
@@ -158,8 +162,8 @@ class PoissonSolver:
         """Mean-zero potential at the FE nodes for charge density rho."""
         b = np.zeros(self.n_nodes + 1)
         b[: self.n_nodes] = self.rhs(rho)
-        # Non-finite input propagates to the diagnostics, where the driver
-        # aborts with a step index instead of a bare linear-algebra error.
+        # Non-finite input propagates to the field, where Simulation.step
+        # stops the run with a step index instead of a bare linear-algebra error.
         sol = lu_solve(self._lu, b, check_finite=False)
         return sol[: self.n_nodes]
 
@@ -177,16 +181,6 @@ class PoissonSolver:
         phi_loc = phi[self.conn]
         e = -(2.0 / xg.h) * phi_loc @ xg.basis.diff.T
         return e.ravel()
-
-
-def solve_poisson(rho, xgrid: XGrid):
-    """One-shot mean-zero periodic Poisson solve (see PoissonSolver)."""
-    return PoissonSolver(xgrid).solve(rho)
-
-
-def compute_E(phi, xgrid: XGrid):
-    """One-shot electric field evaluation from a nodal FE potential."""
-    return PoissonSolver(xgrid).electric_field(phi)
 
 
 def field_energy(e_field, xgrid: XGrid) -> float:

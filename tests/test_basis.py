@@ -87,7 +87,7 @@ def test_lagrange_partition_of_unity():
 
 def test_lagrange_linear_hat():
     basis = DGBasis(1)
-    assert abs(basis.eval_lagrange(0, 0.5) - 0.25) < 1e-15
+    assert abs(basis.eval_all(0.5)[..., 0] - 0.25) < 1e-15
 
 
 def test_mass_matrix_p1_exact():

@@ -48,6 +48,21 @@ def test_invalid_nb_exits_config():
     assert main(["--Nb", "0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--p", "9", "degree"),
+    ("--px", "0", "degree_x"),
+    ("--Nx", "3", "n_x"),
+    ("--dt", "nan", "dt"),
+    ("--dt", "inf", "dt"),
+    ("--R", "nan", "radius"),
+    ("--k", "inf", "wave_number"),
+])
+def test_invalid_value_exits_config_naming_field(flag, value, field, capsys):
+    # Rejected by SimConfig.validate before any set-up runs.
+    assert main(FAST_ARGS + [flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {field} must")
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     csv = tmp_path / "out.csv"
     plot = tmp_path / "plot.py"

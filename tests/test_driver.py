@@ -172,6 +172,14 @@ def test_run_nonfinite_aborts_with_step_index():
             sim.run()
 
 
+def test_nonfinite_field_stops_step_with_index():
+    sim = Simulation(small_config(n_steps=3))
+    sim.step()
+    sim.f[0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="field at step 2"):
+        sim.step()
+
+
 def test_run_1v_benchmark_smoke():
     # Reduced resolution keeps this quick; the rate is still in the right
     # neighborhood even though the acceptance run uses 64 cells.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sldg_vlasov.pencil import PencilError, classify_conforming, dump_pencils, extract_pencils
+from sldg_vlasov.pencil import PencilError, classify_conforming, extract_pencils
 from sldg_vlasov.vmesh import build_mesh
 
 
@@ -84,13 +84,13 @@ def test_pencil_invariants(n_base, levels, direction):
 def test_classify_uniform_all_conforming():
     mesh = build_mesh(3, 8, 0, 6.0)
     for bc in ("absorbing", "periodic"):
-        pset = classify_conforming(extract_pencils(mesh, 0), mesh, bc)
+        pset = classify_conforming(extract_pencils(mesh, 0), bc)
         assert pset.conforming.all()
 
 
 def test_classify_amr_interface_nonconforming():
     mesh = build_mesh(3, 4, 1, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0), mesh, "absorbing")
+    pset = classify_conforming(extract_pencils(mesh, 0), "absorbing")
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
         lev = pset.levels[sl]
@@ -125,14 +125,14 @@ def test_classify_single_cell_pencil():
         levels=pset.levels[:1],
         weights=np.array([1.0]),
     )
-    single = classify_conforming(single, mesh, "absorbing")
+    single = classify_conforming(single, "absorbing")
     assert not single.conforming.any()
 
 
 def test_classify_periodic_wraps():
     # Periodic lookup wraps: uniform pencil stays fully conforming.
     mesh = build_mesh(3, 4, 0, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0), mesh, "periodic")
+    pset = classify_conforming(extract_pencils(mesh, 0), "periodic")
     assert pset.conforming.all()
 
 
@@ -148,17 +148,8 @@ def test_gap_detected_and_named():
     good = build_mesh(3, 4, 0, 6.0)
     keep = np.ones(good.n_cells, dtype=bool)
     keep[10] = False  # punch a hole in the tiling
-    holey = VelocityMesh(3, 6.0, 4, 0, good.levels[keep], good.lo[keep],
+    holey = VelocityMesh(3, 6.0, 4, good.levels[keep], good.lo[keep],
                          good.width[keep])
     with pytest.raises(PencilError, match="pencil"):
         extract_pencils(holey, 0)
 
-
-def test_dump_pencils(tmp_path):
-    mesh = build_mesh(3, 4, 1, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0), mesh, "absorbing")
-    path = tmp_path / "pencils.csv"
-    dump_pencils(pset, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "pencil,cell,lower,width,weight,conforming"
-    assert len(lines) == len(pset.cell_ids) + 1

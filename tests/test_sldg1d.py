@@ -8,8 +8,9 @@ from sldg_vlasov.sldg1d import (
     apply_update,
     decompose_shift,
     overlap_pair,
-    projection_oracle,
 )
+
+from oracle import projection_oracle
 
 
 def test_decompose_positive():

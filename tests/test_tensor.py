@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sldg_vlasov.basis import DGBasis
-from sldg_vlasov.tensor import build_permutation, line_index, pack_line, scatter_line
+from sldg_vlasov.tensor import build_permutation
 
 
 def test_p1_3d_corners():
@@ -46,31 +46,12 @@ def test_line_sweep_progression():
     for d in range(3):
         for t1 in range(o):
             for t2 in range(o):
-                line = pack_line(vals, perm, d, t1, t2)
+                line = vals[perm.lines[d][t1 + o * t2]]
                 trips = perm.forward[line]
                 assert (np.diff(trips[:, d]) == 1).all()
                 t_dims = [t for t in range(3) if t != d]
                 assert (trips[:, t_dims[0]] == t1).all()
                 assert (trips[:, t_dims[1]] == t2).all()
-
-
-def test_pack_scatter_roundtrip():
-    rng = np.random.default_rng(31)
-    p = 2
-    perm = build_permutation(DGBasis(p), 3)
-    o = p + 1
-    vals = rng.standard_normal(o**3)
-    for d in range(3):
-        for t1 in range(o):
-            for t2 in range(o):
-                out = vals.copy()
-                line = pack_line(out, perm, d, t1, t2)
-                scatter_line(line * 2.0, out, perm, d, t1, t2)
-                idx = line_index(perm, d, t1, t2)
-                np.testing.assert_allclose(out[idx], 2.0 * vals[idx], atol=0)
-                mask = np.ones(o**3, dtype=bool)
-                mask[idx] = False
-                np.testing.assert_allclose(out[mask], vals[mask], atol=0)
 
 
 def test_dim_validation():

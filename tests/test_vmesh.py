@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sldg_vlasov.vmesh import MeshError, VelocityCell, build_mesh, dump_mesh, ip_count
+from sldg_vlasov.vmesh import MeshError, build_mesh, ip_count
 
 # (n_base, levels, expected cells) from the benchmark configurations.
 CELL_COUNTS = [
@@ -98,17 +98,6 @@ def test_geometry_invariants_odd_base_two_levels():
     assert mesh.levels.max() == 2
 
 
-def test_custom_marker():
-    # Refine every corner-most cell instead of the origin cells.
-    def marker(cell: VelocityCell) -> bool:
-        at_edge = (cell.lo == -6.0) | (cell.lo + cell.width == 6.0)
-        return bool(at_edge.all())
-
-    mesh = build_mesh(3, 4, 1, 6.0, marker=marker)
-    assert mesh.n_cells == 64 - 8 + 64
-    _check_geometry(mesh)
-
-
 def test_invalid_parameters():
     with pytest.raises(MeshError):
         build_mesh(2, 4, 0, 6.0)
@@ -119,11 +108,3 @@ def test_invalid_parameters():
     with pytest.raises(MeshError):
         build_mesh(3, 4, 0, -1.0)
 
-
-def test_dump_mesh(tmp_path):
-    mesh = build_mesh(3, 3, 1, 6.0)
-    path = tmp_path / "mesh.csv"
-    dump_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cell,level,lo_0,lo_1,lo_2,h_0,h_1,h_2"
-    assert len(lines) == mesh.n_cells + 1

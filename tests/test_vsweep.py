@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import velocity_dof_coords, velocity_dof_weights
 from sldg_vlasov.pencil import PencilSet, classify_conforming, extract_pencils
-from sldg_vlasov.sldg1d import ShiftDecomposition, apply_update, overlap_pair
+from sldg_vlasov.sldg1d import ShiftDecomposition, apply_update, overlap_blocks, overlap_pair
 from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.vsweep import (
     SweepError,
-    _overlap_blocks,
     _pencil_operators,
     advect_velocity,
     build_sweep_plan,
@@ -43,7 +42,7 @@ def generalized_overlap(basis, dest_lo, dest_width, src_lo, src_width, displacem
     The foot interval is the destination cell shifted upstream by
     `displacement`; an empty intersection with the source cell yields the
     zero matrix.  The sweep computes the same blocks in batches through
-    `_overlap_blocks`.
+    `overlap_blocks`.
     """
     o = basis.n_nodes
     foot_lo = dest_lo - displacement
@@ -51,7 +50,7 @@ def generalized_overlap(basis, dest_lo, dest_width, src_lo, src_width, displacem
     vr = min(foot_lo + dest_width, src_lo + src_width)
     if vr <= vl:
         return GeneralizedOverlap(np.zeros((o, o)), vl, vl)
-    raw = _overlap_blocks(
+    raw = overlap_blocks(
         basis,
         np.array([vl]), np.array([vr]),
         np.array([dest_lo]), np.array([dest_width]),
@@ -68,7 +67,7 @@ def amr_setup():
     perm = build_permutation(basis, 3)
     plans = {}
     for bc in ("absorbing", "periodic"):
-        pset = classify_conforming(extract_pencils(mesh, 0), mesh, bc)
+        pset = classify_conforming(extract_pencils(mesh, 0), bc)
         plans[bc] = build_sweep_plan(mesh, pset, perm, basis)
     coords = velocity_dof_coords(mesh, basis, perm)
     weights = velocity_dof_weights(mesh, basis, perm)
@@ -87,7 +86,7 @@ def sweep_plans():
         mesh = build_mesh(3, n_base, levels, 6.0)
         weights = velocity_dof_weights(mesh, basis, perm)
         for bc in ("absorbing", "periodic"):
-            pset = classify_conforming(extract_pencils(mesh, 0), mesh, bc)
+            pset = classify_conforming(extract_pencils(mesh, 0), bc)
             out[n_base, levels, bc] = (build_sweep_plan(mesh, pset, perm, basis), weights)
     return out
 
@@ -100,7 +99,7 @@ def periodic_setups():
     out = {}
     for levels in (1, 2):
         mesh = build_mesh(3, 4, levels, 6.0)
-        pset = classify_conforming(extract_pencils(mesh, 0), mesh, "periodic")
+        pset = classify_conforming(extract_pencils(mesh, 0), "periodic")
         out[levels] = (
             build_sweep_plan(mesh, pset, perm, basis),
             velocity_dof_coords(mesh, basis, perm),
@@ -311,7 +310,7 @@ def test_weighted_writeback_rejects_uncovered(amr_setup):
     # Dropping one pencil leaves part of some cells without a pencil, so
     # their write-back weights no longer sum to one.
     basis, mesh, perm, plans, coords, weights = amr_setup
-    pset = classify_conforming(extract_pencils(mesh, 0), mesh, "periodic")
+    pset = classify_conforming(extract_pencils(mesh, 0), "periodic")
     keep = slice(0, int(pset.offsets[-2]))
     holey = PencilSet(
         direction=0,

@@ -9,11 +9,9 @@ from sldg_vlasov.xfield import (
     PoissonSolver,
     XGrid,
     advect_x,
-    compute_E,
     compute_rho,
     field_energy,
     precompute_x_matrices,
-    solve_poisson,
 )
 
 LENGTH = 4.0 * np.pi  # 2 pi / k with k = 0.5
@@ -240,8 +238,8 @@ def test_poisson_mms_convergence_order():
 def test_one_shot_helpers(xgrid):
     x = xgrid.dof_coords
     rho = 1.0 + 0.01 * np.cos(0.5 * x)
-    phi = solve_poisson(rho, xgrid)
-    e_field = compute_E(phi, xgrid)
+    solver = PoissonSolver(xgrid)
+    e_field = solver.electric_field(solver.solve(rho))
     assert np.abs(e_field - 0.02 * np.sin(0.5 * x)).max() <= 5e-5
 
 
