@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -150,7 +151,7 @@ print("wrote", {png!r})
 
 
 def write_plot_script(path, csv_path, fit) -> None:
-    png = str(path).rsplit(".", 1)[0] + ".png"
+    png = os.path.splitext(str(path))[0] + ".png"
     text = _PLOT_TEMPLATE.format(
         csv=str(csv_path),
         peak_t=np.asarray(fit.peak_times).tolist(),

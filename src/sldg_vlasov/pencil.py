@@ -23,6 +23,11 @@ class PencilError(ValueError):
     pass
 
 
+# A conforming cell's neighbors up to this many positions away along its
+# pencil sit at its level.
+CONFORMING_RADIUS = 2
+
+
 @dataclass
 class PencilSet:
     """CSR pencil arrays for one sweep direction.
@@ -154,7 +159,14 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
 
 
 def classify_conforming(pset: PencilSet, bc: str = ABSORBING) -> PencilSet:
-    """Flag each pencil entry whose +-2 neighborhood sits at one level.
+    """Flag each pencil entry whose neighbors within CONFORMING_RADIUS share its level.
+
+    A destination cell s with integer shift n reads source cells s-n and
+    s-n-1, which together with every cell between them and s lie within
+    s +- CONFORMING_RADIUS exactly when -CONFORMING_RADIUS <= n <=
+    CONFORMING_RADIUS - 1.  In that window index arithmetic equals
+    coordinate arithmetic for a conforming cell, so the sweep's fast path
+    takes its level's overlap pair there; larger shifts go to the slow path.
 
     With absorbing velocity boundaries missing neighbors beyond the pencil
     ends count as same-level (the stencil reads zeros there, so the fast
@@ -163,6 +175,7 @@ def classify_conforming(pset: PencilSet, bc: str = ABSORBING) -> PencilSet:
     unconditionally and the degenerate case is not worth special-casing.
     """
     check_bc(bc)
+    offsets = [k for k in range(-CONFORMING_RADIUS, CONFORMING_RADIUS + 1) if k]
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
         lev = pset.levels[sl]
@@ -171,7 +184,7 @@ def classify_conforming(pset: PencilSet, bc: str = ABSORBING) -> PencilSet:
             pset.conforming[sl] = False
             continue
         conf = np.ones(n, dtype=bool)
-        for off in (-2, -1, 1, 2):
+        for off in offsets:
             idx = np.arange(n) + off
             if bc == PERIODIC:
                 conf &= lev[idx % n] == lev

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DGBasis
-from .pencil import PencilSet
+from .pencil import CONFORMING_RADIUS, PencilSet
 from .sldg1d import ABSORBING, PERIODIC, check_bc, decompose_shift, overlap_blocks, overlap_pair
 from .sldg1d import apply_update  # noqa: F401 - the traced benchmark wraps vsweep.apply_update
 from .tensor import TensorPermutation
@@ -65,30 +65,6 @@ def precompute_level_matrices(basis: DGBasis, speed, dt: float,
 _level_matrices = precompute_level_matrices
 
 
-def _fast_sources_ok(s, n_shift, levels, bc):
-    """Is same-level index arithmetic valid for destination cell s?
-
-    The integer shift walks n_shift (+1) positions along the pencil; index
-    arithmetic equals coordinate arithmetic only when every in-range cell
-    between destination and sources sits at the destination's level (a
-    level change in between changes the cell widths and breaks the offset).
-    The +-2 conforming radius guarantees this for |n_shift| <= 1; larger
-    shifts are re-checked here and fall back to the slow path on failure.
-    """
-    n = len(levels)
-    lo_idx = min(s, s - n_shift - 1)
-    hi_idx = max(s, s - n_shift)
-    lev = levels[s]
-    if bc == PERIODIC:
-        if hi_idx - lo_idx + 1 >= n:
-            return bool((levels == lev).all())
-        idx = np.arange(lo_idx, hi_idx + 1) % n
-        return bool((levels[idx] == lev).all())
-    i0 = max(lo_idx, 0)
-    i1 = min(hi_idx, n - 1)
-    return bool((levels[i0 : i1 + 1] == lev).all())
-
-
 def _foot_segments(foot_lo, width, disp, bc, radius):
     """Split foot intervals into in-domain segments.
 
@@ -122,24 +98,22 @@ def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conformin
     `lm` holds the level matrices of the speeds and `disp` their
     displacements speed*dt.  Returns (n_speeds, n*(p+1), n*(p+1)) operators
     acting on a line's values in sweep order.  A conforming destination
-    cell whose sources sit at its own level for that speed's shift takes
-    its level's same/neighbor pair at index offsets; every other cell (all
-    of them with `force_slow`) sums generalized overlap blocks against the
-    source cells its foot interval meets.  Absorbing boundaries read zero
-    outside [-radius, radius]; periodic boundaries wrap foot coordinates by
-    multiples of the domain length.
+    cell s whose integer shift n at its level lies in [-CONFORMING_RADIUS,
+    CONFORMING_RADIUS - 1] reads sources s-n and s-n-1 inside its
+    same-level neighborhood, so it takes its level's same/neighbor pair at
+    index offsets; every other cell (all of them with `force_slow`) sums
+    generalized overlap blocks against the source cells its foot interval
+    meets.  Absorbing boundaries read zero outside [-radius, radius];
+    periodic boundaries wrap foot coordinates by multiples of the domain
+    length.
     """
     o = basis.n_nodes
     n = len(lowers)
     disp = np.reshape(disp, -1)
     n_cols = disp.size
     shift = np.stack([np.reshape(lm.n_shift[lev], -1) for lev in levels], axis=1)
-    fast = np.zeros((n_cols, n), dtype=bool)
-    if not force_slow:
-        for s in np.nonzero(conforming)[0]:
-            for ns in np.unique(shift[:, s]):
-                if _fast_sources_ok(s, ns, levels, bc):
-                    fast[:, s] |= shift[:, s] == ns
+    fast = conforming & (shift >= -CONFORMING_RADIUS) & (shift < CONFORMING_RADIUS)
+    fast &= not force_slow
     # op[j, s, :, c, :] is the block mapping source cell c to destination s.
     op = np.zeros((n_cols, n, o, n, o))
 
@@ -333,12 +307,8 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
     grouped: dict = {}
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
-        key = (
-            pset.levels[sl].tobytes(),
-            pset.lowers[sl].tobytes(),
-            pset.widths[sl].tobytes(),
-            pset.conforming[sl].tobytes(),
-        )
+        key = (pset.levels[sl].tobytes(), pset.lowers[sl].tobytes(),
+               pset.widths[sl].tobytes())
         grouped.setdefault(key, []).append(q)
 
     groups = []

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from sldg_vlasov.cli import (
     TABLE2_PRESETS,
     main,
     parse_config,
+    write_plot_script,
 )
+from sldg_vlasov.driver import DampingFit
 
 FAST_ARGS = ["--dv", "1", "--Nb", "16", "--p", "2", "--Nx", "16", "--steps", "3"]
 
@@ -137,6 +141,22 @@ def test_unwritable_path_exits_runtime(tmp_path):
 def test_force_slow_and_workers_flags(tmp_path):
     cfg, _ = parse_config(["--force-slow-path", "--workers", "2", "--dv", "1"])
     assert cfg.force_slow and cfg.workers == 2 and cfg.dim == 1
+
+
+@pytest.mark.parametrize("script,png", [
+    ("./plot", "./plot.png"),
+    ("out.d/plot", "out.d/plot.png"),
+    ("plot_emax.py", "plot_emax.png"),
+])
+def test_plot_script_png_path(tmp_path, monkeypatch, script, png):
+    # Only the file name's own extension is replaced: a dot in a directory
+    # name or a leading "./" is part of the path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.d").mkdir()
+    fit = DampingFit(None, None, 0, np.empty(0), np.empty(0))
+    write_plot_script(script, "run.csv", fit)
+    saved = re.search(r"fig\.savefig\((.+), dpi=150\)", (tmp_path / script).read_text())
+    assert ast.literal_eval(saved.group(1)) == png
 
 
 def test_plot_script_runs(tmp_path):

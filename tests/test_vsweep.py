@@ -77,17 +77,20 @@ def amr_setup():
 @pytest.fixture(scope="module")
 def sweep_plans():
     # Direction-0 plans on the 4^3+AMR1, 4^3+AMR2 and 8^3+AMR1 meshes, p=3,
-    # both boundary modes, with the velocity quadrature weights.  Only the
-    # 8^3 mesh has conforming cells in pencils that change level.
+    # both boundary modes, with the mesh, the velocity DOF coordinates and
+    # the quadrature weights.  Only the 8^3 mesh has conforming cells in
+    # pencils that change level.
     basis = DGBasis(3)
     perm = build_permutation(basis, 3)
     out = {}
     for n_base, levels in ((4, 1), (4, 2), (8, 1)):
         mesh = build_mesh(3, n_base, levels, 6.0)
+        coords = velocity_dof_coords(mesh, basis, perm)
         weights = velocity_dof_weights(mesh, basis, perm)
         for bc in ("absorbing", "periodic"):
             pset = classify_conforming(extract_pencils(mesh, 0), bc)
-            out[n_base, levels, bc] = (build_sweep_plan(mesh, pset, perm, basis), weights)
+            plan = build_sweep_plan(mesh, pset, perm, basis)
+            out[n_base, levels, bc] = (plan, mesh, coords, weights)
     return out
 
 
@@ -265,6 +268,34 @@ def test_sweep_hybrid_matches_forced_slow_on_pencil():
                           lm, "absorbing", 6.0, basis)
     slow = sweep_pencil(vals, lowers, widths, levels, classify_flags, 0.9, 0.2,
                         lm, "absorbing", 6.0, basis, force_slow=True)
+    assert np.abs(hybrid - slow).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bc", ["absorbing", "periodic"])
+@pytest.mark.parametrize("n_shift", [-3, -2, 1, 2])
+def test_sweep_fast_window_edges(bc, n_shift):
+    # Five fine cells between two coarse ones: only the middle cell is
+    # conforming, and its third neighbors change level on both sides.  Its
+    # sources s-n and s-n-1 stay inside its same-level neighborhood for
+    # n = -2 and 1 (fast path) and reach a coarse cell for n = -3 and 2,
+    # where index arithmetic would read the coarse cell as a fine one.
+    basis = DGBasis(3)
+    widths = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+    lowers = -4.5 + np.concatenate([[0.0], np.cumsum(widths[:-1])])
+    levels = np.array([0, 1, 1, 1, 1, 1, 0])
+    pset = classify_conforming(PencilSet(
+        direction=0, n_pencils=1, offsets=np.array([0, 7]), cell_ids=np.arange(7),
+        lowers=lowers, widths=widths, levels=levels, weights=np.ones(7),
+    ), bc)
+    assert pset.conforming.tolist() == [False, False, False, True, False, False, False]
+    dt = 0.1
+    speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
+    lm = precompute_level_matrices(basis, speed, dt, 2.0, 2)
+    assert lm.n_shift[1] == n_shift
+    vals = np.random.default_rng(83).standard_normal((3, 7, 4))
+    args = (lowers, widths, levels, pset.conforming, speed, dt, lm, bc, 4.5, basis)
+    hybrid = sweep_pencil(vals, *args)
+    slow = sweep_pencil(vals, *args, force_slow=True)
     assert np.abs(hybrid - slow).max() <= 1e-12
 
 
@@ -451,9 +482,10 @@ _speeds = st.one_of(
        speeds=st.lists(_speeds, min_size=1, max_size=20), seed=st.integers(0, 2**32 - 1))
 def test_advect_batched_sweep_properties(sweep_plans, mesh, bc, speeds, seed):
     # Random column blocks (zero speeds split the moving runs) with shifts of
-    # many cells, where the per-(cell, column) fast-path check sends
-    # conforming cells whose sources cross a level change to the slow path.
-    plan, weights = sweep_plans[(*mesh, bc)]
+    # many cells: conforming cells take the fast path only for integer shifts
+    # in [-2, 1] at their level, and every larger shift, which could carry
+    # their sources across a level change, goes to the slow path.
+    plan, _, _, weights = sweep_plans[(*mesh, bc)]
     speeds = np.array(speeds)
     f = np.random.default_rng(seed).random((plan.n_dofs, speeds.size))
     hybrid = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
@@ -464,3 +496,30 @@ def test_advect_batched_sweep_properties(sweep_plans, mesh, bc, speeds, seed):
     if bc == "periodic":
         mass0 = weights @ f
         assert (np.abs(weights @ hybrid - mass0) / mass0).max() <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=st.sampled_from([(4, 1), (4, 2), (8, 1)]), degree=st.integers(0, 3),
+       speeds=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_advect_polynomial_exact_on_amr(sweep_plans, mesh, degree, speeds, seed):
+    # A polynomial in v_x of degree <= p lies in the DG space of every cell
+    # and every pencil, so one sweep translates it exactly wherever the foot
+    # interval stays inside [-R, R] (absorbing boundaries read zero outside),
+    # on the fast path, on the slow path and through the coarse/fine transfer.
+    plan, vmesh, coords, _ = sweep_plans[(*mesh, "absorbing")]
+    coefs = np.random.default_rng(seed).uniform(-1.0, 1.0, degree + 1)
+    speeds = np.array(speeds)
+    disp = speeds * 0.1
+    r = plan.radius
+    f = np.repeat(np.polyval(coefs, coords[:, :1] / r), speeds.size, axis=1)
+    exact = np.polyval(coefs, (coords[:, :1] - disp) / r)
+    n_local = plan.n_dofs // vmesh.n_cells
+    lo = np.repeat(vmesh.lo[:, 0], n_local)[:, None]
+    hi = lo + np.repeat(vmesh.width[:, 0], n_local)[:, None]
+    inside = (lo - disp >= -r) & (hi - disp <= r)
+    assert inside.any(axis=0).all()
+    scale = np.abs(coefs).sum()  # bounds |P| on [-R, R]
+    for force_slow in (False, True):
+        out = advect_velocity(f.copy(), speeds, 0.1, plan, force_slow=force_slow)
+        assert np.abs(out - exact)[inside].max() <= 1e-12 * scale, force_slow
