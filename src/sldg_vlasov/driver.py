@@ -207,7 +207,7 @@ class Simulation:
         self.basis = DGBasis(c.degree)
         self.mesh = build_mesh(c.dim, c.n_base, c.levels, c.radius)
         self.perm = build_permutation(self.basis, c.dim)
-        pset = classify_conforming(extract_pencils(self.mesh, 0), c.bc)
+        pset = classify_conforming(extract_pencils(self.mesh, 0))
         self.sweep_plan = build_sweep_plan(self.mesh, pset, self.perm, self.basis)
         self.xgrid = XGrid(c.n_x, c.degree_x, c.length)
         self.vcoords = velocity_dof_coords(self.mesh, self.basis, self.perm)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sldg1d import ABSORBING, PERIODIC, check_bc
 from .vmesh import VelocityMesh
 
 
@@ -52,10 +51,6 @@ class PencilSet:
     conforming: np.ndarray = field(default=None)
     t_lowers: np.ndarray = field(default=None)
     t_widths: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.conforming is None:
-            self.conforming = np.zeros(len(self.cell_ids), dtype=bool)
 
     def pencil_slice(self, q: int) -> slice:
         return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
@@ -158,7 +153,7 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
     )
 
 
-def classify_conforming(pset: PencilSet, bc: str = ABSORBING) -> PencilSet:
+def classify_conforming(pset: PencilSet) -> PencilSet:
     """Flag each pencil entry whose neighbors within CONFORMING_RADIUS share its level.
 
     A destination cell s with integer shift n reads source cells s-n and
@@ -168,29 +163,19 @@ def classify_conforming(pset: PencilSet, bc: str = ABSORBING) -> PencilSet:
     coordinate arithmetic for a conforming cell, so the sweep's fast path
     takes its level's overlap pair there; larger shifts go to the slow path.
 
-    With absorbing velocity boundaries missing neighbors beyond the pencil
-    ends count as same-level (the stencil reads zeros there, so the fast
-    path stays valid); with periodic boundaries the neighbor lookup wraps.
-    Single-cell pencils are always nonconforming: the slow path is correct
-    unconditionally and the degenerate case is not worth special-casing.
+    The neighbor lookup wraps at the pencil ends, so one plan serves both
+    boundary modes: periodic sweeps read the wrapped neighbors, and for
+    absorbing sweeps the rule is only stricter than needed.  Single-cell
+    pencils are always nonconforming: a periodic shift reads their one cell
+    as both the same and the neighbor source, which the fast path's index
+    arithmetic does not add up.
     """
-    check_bc(bc)
-    offsets = [k for k in range(-CONFORMING_RADIUS, CONFORMING_RADIUS + 1) if k]
-    for q in range(pset.n_pencils):
-        sl = pset.pencil_slice(q)
-        lev = pset.levels[sl]
-        n = len(lev)
-        if n == 1:
-            pset.conforming[sl] = False
-            continue
-        conf = np.ones(n, dtype=bool)
-        for off in offsets:
-            idx = np.arange(n) + off
-            if bc == PERIODIC:
-                conf &= lev[idx % n] == lev
-            else:
-                valid = (idx >= 0) & (idx < n)
-                conf[valid] &= lev[idx[valid]] == lev[valid]
-        pset.conforming[sl] = conf
+    lengths = np.diff(pset.offsets)
+    start = np.repeat(pset.offsets[:-1], lengths)[:, None]
+    length = np.repeat(lengths, lengths)[:, None]
+    offs = np.array([k for k in range(-CONFORMING_RADIUS, CONFORMING_RADIUS + 1) if k])
+    local = np.arange(len(pset.levels))[:, None] - start
+    neighbors = start + (local + offs) % length
+    same = pset.levels[neighbors] == pset.levels[:, None]
+    pset.conforming = (length[:, 0] > 1) & same.all(axis=1)
     return pset
-

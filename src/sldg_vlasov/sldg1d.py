@@ -71,7 +71,6 @@ class OverlapPair:
 
     same: np.ndarray
     neighbor: np.ndarray
-    frac: float
 
 
 def overlap_blocks(basis: DGBasis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp) -> np.ndarray:
@@ -124,7 +123,7 @@ def overlap_pair(basis: DGBasis, frac) -> OverlapPair:
     zero = (frac == 0.0)[..., None, None]
     same = np.where(zero, np.eye(o), same)
     neighbor = np.where(zero, 0.0, neighbor)
-    return OverlapPair(same, neighbor, float(frac) if frac.ndim == 0 else frac)
+    return OverlapPair(same, neighbor)
 
 
 def shifted_source(values: np.ndarray, k: int, bc: str) -> np.ndarray:

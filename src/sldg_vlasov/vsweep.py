@@ -33,15 +33,16 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class LevelMatrices:
-    """Per-refinement-level shift decompositions and overlap pairs.
+    """Shift decompositions and overlap pairs indexed [level, speed].
 
-    For an array of speeds, each level's n_shift and frac have the speeds'
-    shape and its pair holds the matrices stacked in the same shape.
+    For speeds shaped S, n_shift and frac are shaped (n_levels,) + S and
+    same / neighbor (n_levels,) + S + (p+1, p+1).
     """
 
-    n_shift: tuple
-    frac: tuple
-    pairs: tuple
+    n_shift: np.ndarray
+    frac: np.ndarray
+    same: np.ndarray
+    neighbor: np.ndarray
 
 
 def precompute_level_matrices(basis: DGBasis, speed, dt: float,
@@ -51,12 +52,12 @@ def precompute_level_matrices(basis: DGBasis, speed, dt: float,
     Level widths halve per level, so each level gets its own fractional
     shift; the resulting pair is reused for every conforming cell at that
     level, which keeps the per-cell cost identical to a uniform grid.
-    `speed` may be an array of column speeds.
+    `speed` may be an array of column speeds; scaled by 2**lev, which is
+    exact, it decomposes against the base width in one call.
     """
-    shifts = [decompose_shift(speed, dt, base_width / 2**lev) for lev in range(n_levels)]
-    return LevelMatrices(tuple(d.n_shift for d in shifts),
-                         tuple(d.frac for d in shifts),
-                         tuple(overlap_pair(basis, d.frac) for d in shifts))
+    d = decompose_shift(np.multiply.outer(2.0 ** np.arange(n_levels), speed), dt, base_width)
+    pair = overlap_pair(basis, d.frac)
+    return LevelMatrices(d.n_shift, d.frac, pair.same, pair.neighbor)
 
 
 # The column sweep calls this under a private name, so that wrapping the
@@ -111,7 +112,7 @@ def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conformin
     n = len(lowers)
     disp = np.reshape(disp, -1)
     n_cols = disp.size
-    shift = np.stack([np.reshape(lm.n_shift[lev], -1) for lev in levels], axis=1)
+    shift = lm.n_shift.reshape(-1, n_cols)[levels].T
     fast = conforming & (shift >= -CONFORMING_RADIUS) & (shift < CONFORMING_RADIUS)
     fast &= not force_slow
     # op[j, s, :, c, :] is the block mapping source cell c to destination s.
@@ -119,8 +120,8 @@ def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conformin
 
     j, s = np.nonzero(fast)
     if j.size:
-        same = np.stack([np.reshape(pair.same, (n_cols, o, o)) for pair in lm.pairs])
-        nb = np.stack([np.reshape(pair.neighbor, (n_cols, o, o)) for pair in lm.pairs])
+        same = lm.same.reshape(-1, n_cols, o, o)
+        nb = lm.neighbor.reshape(-1, n_cols, o, o)
         q = s - shift[j, s]
         for src, mats in ((q, same[levels[s], j]), (q - 1, nb[levels[s], j])):
             ok = (bc == PERIODIC) | ((src >= 0) & (src < n))
@@ -396,15 +397,20 @@ def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
                     force_slow: bool = False):
     """Advect every spatial column of the field along the plan's direction.
 
-    `f` has shape (n_velocity_dofs, n_x_dofs); column ix moves with speed
-    speeds[ix].  Columns with exactly zero speed are skipped, leaving their
-    bits untouched.  The moving columns go in blocks of consecutive ones:
-    each block is packed, every pencil group assembles one operator per
-    column and applies it to all of its lines with one batched product,
-    and the block is written back.  Updates f in place and returns it.
+    `f` is float64, shaped (n_velocity_dofs, n_x_dofs); column ix moves with
+    speed speeds[ix] of the 1-D `speeds`.  Columns with exactly zero speed
+    are skipped, leaving their bits untouched.  The moving columns go in
+    blocks of consecutive ones: each block is packed, every pencil group
+    assembles one operator per column and applies it to all of its lines
+    with one batched product, and the block is written back.  Updates f in
+    place and returns it.
     """
     check_bc(bc)
+    if getattr(f, "dtype", None) != np.float64:
+        raise SweepError(f"f must be a float64 array, got dtype {getattr(f, 'dtype', None)}")
     speeds = np.asarray(speeds, dtype=float)
+    if speeds.ndim != 1:
+        raise SweepError(f"speeds must be 1-D with f.shape[1] entries, got shape {speeds.shape}")
     if f.shape != (plan.n_dofs, speeds.size):
         raise SweepError(
             f"field shaped {f.shape}, expected ({plan.n_dofs}, {speeds.size})"

@@ -77,7 +77,7 @@ def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
     groups = tuple(
         _SpeedGroup(np.nonzero(inverse == u)[0],
                     ShiftDecomposition(int(d.n_shift[u]), float(d.frac[u])),
-                    OverlapPair(pair.same[u], pair.neighbor[u], float(d.frac[u])))
+                    OverlapPair(pair.same[u], pair.neighbor[u]))
         for u in range(len(uniq))
     )
     return XAdvectionPlan(xgrid.n_cells, groups)

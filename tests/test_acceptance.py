@@ -63,7 +63,7 @@ def test_criterion_2_oracle_equivalence():
     basis = DGBasis(3)
     mesh = build_mesh(3, 4, 1, 6.0)
     perm = build_permutation(basis, 3)
-    pset = classify_conforming(extract_pencils(mesh, 0), "absorbing")
+    pset = classify_conforming(extract_pencils(mesh, 0))
     plan = build_sweep_plan(mesh, pset, perm, basis)
     f = rng.standard_normal((plan.n_dofs, 3))
     speeds = rng.uniform(-1.5, 1.5, size=3)

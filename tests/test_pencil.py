@@ -84,13 +84,13 @@ def test_pencil_invariants(n_base, levels, direction):
 def test_classify_uniform_all_conforming():
     mesh = build_mesh(3, 8, 0, 6.0)
     for bc in ("absorbing", "periodic"):
-        pset = classify_conforming(extract_pencils(mesh, 0), bc)
+        pset = classify_conforming(extract_pencils(mesh, 0))
         assert pset.conforming.all()
 
 
 def test_classify_amr_interface_nonconforming():
     mesh = build_mesh(3, 4, 1, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0), "absorbing")
+    pset = classify_conforming(extract_pencils(mesh, 0))
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
         lev = pset.levels[sl]
@@ -125,15 +125,43 @@ def test_classify_single_cell_pencil():
         levels=pset.levels[:1],
         weights=np.array([1.0]),
     )
-    single = classify_conforming(single, "absorbing")
+    single = classify_conforming(single)
     assert not single.conforming.any()
 
 
 def test_classify_periodic_wraps():
     # Periodic lookup wraps: uniform pencil stays fully conforming.
     mesh = build_mesh(3, 4, 0, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0), "periodic")
+    pset = classify_conforming(extract_pencils(mesh, 0))
     assert pset.conforming.all()
+
+
+def in_range_flags(pset):
+    """Conforming flags from neighbors inside the pencil only, without wrapping.
+
+    A cell is conforming when every neighbor within two positions that lies
+    inside its pencil shares its level; single-cell pencils are not.
+    """
+    out = np.zeros(len(pset.levels), dtype=bool)
+    for q in range(pset.n_pencils):
+        sl = pset.pencil_slice(q)
+        lev = pset.levels[sl]
+        n = len(lev)
+        out[sl] = [
+            n > 1 and all(lev[k + off] == lev[k] for off in (-2, -1, 1, 2) if 0 <= k + off < n)
+            for k in range(n)
+        ]
+    return out
+
+
+@pytest.mark.parametrize("n_base,levels", [(4, 1), (4, 2), (8, 1), (8, 2), (3, 1), (5, 2), (6, 3)])
+def test_classify_wrapped_equals_in_range_on_built_meshes(n_base, levels):
+    # build_mesh refines symmetrically about the origin, so every pencil's
+    # level sequence is a palindrome and wrapping changes no flag.
+    mesh = build_mesh(3, n_base, levels, 6.0)
+    for d in range(3):
+        pset = classify_conforming(extract_pencils(mesh, d))
+        assert np.array_equal(pset.conforming, in_range_flags(pset)), d
 
 
 def test_invalid_direction():

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import velocity_dof_coords, velocity_dof_weights
 from sldg_vlasov.pencil import PencilSet, classify_conforming, extract_pencils
-from sldg_vlasov.sldg1d import ShiftDecomposition, apply_update, overlap_blocks, overlap_pair
+from sldg_vlasov.sldg1d import (
+    OverlapPair,
+    ShiftDecomposition,
+    apply_update,
+    overlap_blocks,
+    overlap_pair,
+)
 from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.vsweep import (
@@ -67,7 +73,7 @@ def amr_setup():
     perm = build_permutation(basis, 3)
     plans = {}
     for bc in ("absorbing", "periodic"):
-        pset = classify_conforming(extract_pencils(mesh, 0), bc)
+        pset = classify_conforming(extract_pencils(mesh, 0))
         plans[bc] = build_sweep_plan(mesh, pset, perm, basis)
     coords = velocity_dof_coords(mesh, basis, perm)
     weights = velocity_dof_weights(mesh, basis, perm)
@@ -88,7 +94,7 @@ def sweep_plans():
         coords = velocity_dof_coords(mesh, basis, perm)
         weights = velocity_dof_weights(mesh, basis, perm)
         for bc in ("absorbing", "periodic"):
-            pset = classify_conforming(extract_pencils(mesh, 0), bc)
+            pset = classify_conforming(extract_pencils(mesh, 0))
             plan = build_sweep_plan(mesh, pset, perm, basis)
             out[n_base, levels, bc] = (plan, mesh, coords, weights)
     return out
@@ -102,7 +108,7 @@ def periodic_setups():
     out = {}
     for levels in (1, 2):
         mesh = build_mesh(3, 4, levels, 6.0)
-        pset = classify_conforming(extract_pencils(mesh, 0), "periodic")
+        pset = classify_conforming(extract_pencils(mesh, 0))
         out[levels] = (
             build_sweep_plan(mesh, pset, perm, basis),
             velocity_dof_coords(mesh, basis, perm),
@@ -116,8 +122,8 @@ def test_level_matrices_zero_speed():
     lm = precompute_level_matrices(basis, 0.0, 0.1, 1.0, 3)
     for lev in range(3):
         assert lm.n_shift[lev] == 0 and lm.frac[lev] == 0.0
-        assert np.array_equal(lm.pairs[lev].same, np.eye(3))
-        assert np.array_equal(lm.pairs[lev].neighbor, 0.0 * np.eye(3))
+        assert np.array_equal(lm.same[lev], np.eye(3))
+        assert np.array_equal(lm.neighbor[lev], 0.0 * np.eye(3))
 
 
 def test_level_matrices_halving():
@@ -134,8 +140,8 @@ def test_level_matrices_halving():
 def test_level_matrices_partition_of_unity(p):
     basis = DGBasis(p)
     lm = precompute_level_matrices(basis, 0.731, 0.1, 1.3, 3)
-    for pair in lm.pairs:
-        viol = np.abs(basis.weights @ (pair.same + pair.neighbor) - basis.weights).max()
+    for same, neighbor in zip(lm.same, lm.neighbor):
+        viol = np.abs(basis.weights @ (same + neighbor) - basis.weights).max()
         assert viol < 1e-12
 
 
@@ -215,7 +221,7 @@ def test_sweep_uniform_operator_matches_apply_update():
         out = sweep_pencil(vals, lowers, widths, levels, conforming, speed, 0.4,
                            lm, "periodic", 6.0, basis)
         ref = apply_update(vals, ShiftDecomposition(lm.n_shift[0], lm.frac[0]),
-                           lm.pairs[0], "periodic")
+                           OverlapPair(lm.same[0], lm.neighbor[0]), "periodic")
         assert np.abs(out - ref).max() <= 1e-14
 
 
@@ -286,7 +292,7 @@ def test_sweep_fast_window_edges(bc, n_shift):
     pset = classify_conforming(PencilSet(
         direction=0, n_pencils=1, offsets=np.array([0, 7]), cell_ids=np.arange(7),
         lowers=lowers, widths=widths, levels=levels, weights=np.ones(7),
-    ), bc)
+    ))
     assert pset.conforming.tolist() == [False, False, False, True, False, False, False]
     dt = 0.1
     speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
@@ -297,6 +303,80 @@ def test_sweep_fast_window_edges(bc, n_shift):
     hybrid = sweep_pencil(vals, *args)
     slow = sweep_pencil(vals, *args, force_slow=True)
     assert np.abs(hybrid - slow).max() <= 1e-12
+
+
+def _one_pencil(widths, levels):
+    """Lower edges and conforming flags of one pencil of these cells, centred on 0."""
+    n = len(widths)
+    lowers = -0.5 * widths.sum() + np.concatenate([[0.0], np.cumsum(widths[:-1])])
+    pset = classify_conforming(PencilSet(
+        direction=0, n_pencils=1, offsets=np.array([0, n]), cell_ids=np.arange(n),
+        lowers=lowers, widths=widths, levels=levels, weights=np.ones(n),
+    ))
+    return lowers, pset.conforming
+
+
+@pytest.mark.parametrize("bc", ["absorbing", "periodic"])
+@pytest.mark.parametrize("n_shift", [-2, -1, 0, 1])
+def test_sweep_one_plan_serves_both_modes(bc, n_shift):
+    # An asymmetric pencil: six fine cells, then two coarse ones.  Cells 0
+    # and 1 have coarse neighbors only across the periodic wrap, so the
+    # wrapped rule flags them slow, which keeps periodic sweeps exact, and
+    # the stricter flags stay exact for absorbing sweeps.
+    basis = DGBasis(3)
+    widths = np.array([1.0] * 6 + [2.0] * 2)
+    levels = np.array([1, 1, 1, 1, 1, 1, 0, 0])
+    lowers, conforming = _one_pencil(widths, levels)
+    assert conforming.tolist() == [False, False, True, True, False, False, False, False]
+    dt = 0.1
+    speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
+    lm = precompute_level_matrices(basis, speed, dt, 2.0, 2)
+    assert lm.n_shift[1] == n_shift
+    vals = np.random.default_rng(89).standard_normal((3, 8, 4))
+    args = (lowers, widths, levels, conforming, speed, dt, lm, bc, 5.0, basis)
+    hybrid = sweep_pencil(vals, *args)
+    slow = sweep_pencil(vals, *args, force_slow=True)
+    assert np.abs(hybrid - slow).max() <= 1e-12
+
+
+@st.composite
+def _balanced_depths(draw):
+    """Refinement depths 0-2 of 2-8 base cells; neighbors differ by at most 1."""
+    depths = [draw(st.integers(0, 2))]
+    for _ in range(draw(st.integers(1, 7))):
+        depths.append(min(2, max(0, depths[-1] + draw(st.integers(-1, 1)))))
+    return depths
+
+
+@settings(max_examples=100, deadline=None)
+@example(depths=[1, 1, 1, 0], degree=1, bc="periodic", shifts=[0.5], seed=0)
+@given(depths=_balanced_depths(), degree=st.sampled_from([1, 3]),
+       bc=st.sampled_from(["absorbing", "periodic"]),
+       shifts=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_sweep_random_balanced_pencils(depths, degree, bc, shifts, seed):
+    # Random 2:1-balanced pencils, symmetric or not, classified once and
+    # swept in either mode with shifts of up to six finest cells: the
+    # hybrid sweep matches the slow path, and periodic sweeps keep the mass.
+    basis = DGBasis(degree)
+    h0 = 2.0
+    widths = np.concatenate([np.full(2**d, h0 / 2**d) for d in depths])
+    levels = np.concatenate([np.full(2**d, d) for d in depths])
+    radius = 0.5 * h0 * len(depths)
+    lowers, conforming = _one_pencil(widths, levels)
+    dt = 0.1
+    vals = np.random.default_rng(seed).standard_normal((2, len(widths), basis.n_nodes))
+    quad = 0.5 * widths[:, None] * basis.weights
+    scale = (quad * np.abs(vals)).sum()
+    for shift in shifts:  # in finest cells
+        speed = shift * (h0 / 4) / dt
+        lm = precompute_level_matrices(basis, speed, dt, h0, 3)
+        args = (lowers, widths, levels, conforming, speed, dt, lm, bc, radius, basis)
+        hybrid = sweep_pencil(vals, *args)
+        slow = sweep_pencil(vals, *args, force_slow=True)
+        assert np.abs(hybrid - slow).max() <= 1e-12, shift
+        if bc == "periodic":
+            assert abs((quad * hybrid).sum() - (quad * vals).sum()) <= 1e-13 * scale, shift
 
 
 def test_sweep_linearity():
@@ -341,7 +421,7 @@ def test_weighted_writeback_rejects_uncovered(amr_setup):
     # Dropping one pencil leaves part of some cells without a pencil, so
     # their write-back weights no longer sum to one.
     basis, mesh, perm, plans, coords, weights = amr_setup
-    pset = classify_conforming(extract_pencils(mesh, 0), "periodic")
+    pset = classify_conforming(extract_pencils(mesh, 0))
     keep = slice(0, int(pset.offsets[-2]))
     holey = PencilSet(
         direction=0,
@@ -372,6 +452,28 @@ def test_advect_zero_field_bitwise(amr_setup):
     advect_velocity(f, np.array([0.5, 0.0, 0.7, 0.0]), 0.1, plans["absorbing"])
     assert np.array_equal(f[:, [1, 3]], before[:, [1, 3]])
     assert not np.array_equal(f[:, [0, 2]], before[:, [0, 2]])
+
+
+def test_advect_rejects_integer_field(amr_setup):
+    # An integer field would come back truncated by the in-place write-back.
+    plan = amr_setup[3]["absorbing"]
+    f = np.ones((plan.n_dofs, 2), dtype=np.int64)
+    with pytest.raises(SweepError, match="f must be a float64"):
+        advect_velocity(f, np.array([0.5, -0.5]), 0.1, plan)
+
+
+def test_advect_rejects_float32_field(amr_setup):
+    plan = amr_setup[3]["absorbing"]
+    f = np.ones((plan.n_dofs, 2), dtype=np.float32)
+    with pytest.raises(SweepError, match="f must be a float64"):
+        advect_velocity(f, np.array([0.5, -0.5]), 0.1, plan)
+
+
+def test_advect_rejects_2d_speeds(amr_setup):
+    plan = amr_setup[3]["absorbing"]
+    f = np.ones((plan.n_dofs, 2))
+    with pytest.raises(SweepError, match="speeds must be 1-D"):
+        advect_velocity(f, np.array([[0.5, -0.5]]), 0.1, plan)
 
 
 def test_advect_global_mass_periodic(periodic_setups):
