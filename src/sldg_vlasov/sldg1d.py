@@ -2,11 +2,11 @@
 
 The piecewise-polynomial solution is translated exactly along the
 characteristic and L2-projected back onto the broken DG space.  On a
-uniform pencil every destination cell couples to exactly two upstream
-source cells through a pair of overlap matrices that depend only on the
-fractional part of the shift, so the matrices are built once per shift
-and applied everywhere.  The same overlap-integral kernel gives the
-generalized blocks of the AMR velocity sweep.
+uniform periodic pencil (the x-advection) every destination cell couples
+to exactly two upstream source cells through a pair of overlap matrices
+that depend only on the fractional part of the shift, so the matrices are
+built once per shift and applied everywhere.  The same overlap-integral
+kernel gives the generalized blocks of the AMR velocity sweep.
 """
 from __future__ import annotations
 
@@ -126,38 +126,16 @@ def overlap_pair(basis: DGBasis, frac) -> OverlapPair:
     return OverlapPair(same, neighbor)
 
 
-def shifted_source(values: np.ndarray, k: int, bc: str) -> np.ndarray:
-    """Source array with out[..., i, :] = values[..., i - k, :].
-
-    Periodic wraps indices modulo the pencil length; absorbing fills
-    out-of-range reads with zeros.
-    """
-    n = values.shape[-2]
-    if bc == PERIODIC:
-        return np.roll(values, k, axis=-2)
-    if k == 0:
-        return values
-    out = np.zeros_like(values)
-    if k > 0:
-        if k < n:
-            out[..., k:, :] = values[..., : n - k, :]
-    else:
-        if -k < n:
-            out[..., : n + k, :] = values[..., -k :, :]
-    return out
-
-
-def apply_update(values, decomp: ShiftDecomposition, pair: OverlapPair, bc: str = PERIODIC):
-    """One SLDG advection step on a uniform pencil.
+def apply_update(values, decomp: ShiftDecomposition, pair: OverlapPair):
+    """One periodic SLDG advection step on a uniform pencil.
 
     `values` has shape (..., n_cells, p+1); destination cell i draws from
-    source cells i - n_shift and i - n_shift - 1 only.
+    source cells i - n_shift and i - n_shift - 1 only, wrapped modulo the
+    pencil length.
     """
-    check_bc(bc)
     values = np.asarray(values, dtype=float)
     if values.ndim < 2:
         raise ValueError("expected pencil values of shape (..., n_cells, p+1)")
-    src_same = shifted_source(values, decomp.n_shift, bc)
-    src_nb = shifted_source(values, decomp.n_shift + 1, bc)
+    src_same = np.roll(values, decomp.n_shift, axis=-2)
+    src_nb = np.roll(values, decomp.n_shift + 1, axis=-2)
     return src_same @ pair.same.T + src_nb @ pair.neighbor.T
-

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DGBasis
-from .pencil import CONFORMING_RADIUS, PencilSet
+from .pencil import CONFORMING_RADIUS, PencilSet, classify_conforming, extract_pencils
 from .sldg1d import ABSORBING, PERIODIC, check_bc, decompose_shift, overlap_blocks, overlap_pair
 from .sldg1d import apply_update  # noqa: F401 - the traced benchmark wraps vsweep.apply_update
-from .tensor import TensorPermutation
+from .tensor import TensorPermutation, build_permutation
 from .vmesh import VelocityMesh
 
 
@@ -92,9 +92,9 @@ def _foot_segments(foot_lo, width, disp, bc, radius):
             np.concatenate([disp + k * span, disp[wrap] + (k[wrap] + 1.0) * span]))
 
 
-def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conforming,
-                      bc, radius, basis: DGBasis, force_slow: bool) -> np.ndarray:
-    """Dense SLDG update operators of one pencil layout, one per speed.
+def _pencil_operators(lm: LevelMatrices, disp, group: _PencilGroup, plan: SweepPlan,
+                      bc, force_slow: bool) -> np.ndarray:
+    """Dense SLDG update operators of one pencil group, one per speed.
 
     `lm` holds the level matrices of the speeds and `disp` their
     displacements speed*dt.  Returns (n_speeds, n*(p+1), n*(p+1)) operators
@@ -104,32 +104,30 @@ def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conformin
     same-level neighborhood, so it takes its level's same/neighbor pair at
     index offsets; every other cell (all of them with `force_slow`) sums
     generalized overlap blocks against the source cells its foot interval
-    meets.  Absorbing boundaries read zero outside [-radius, radius];
-    periodic boundaries wrap foot coordinates by multiples of the domain
-    length.
+    meets.  Absorbing boundaries read zero outside [-R, R]; periodic
+    boundaries wrap foot coordinates by multiples of the domain length.
     """
+    basis = plan.basis
+    lowers, widths, levels = group.lowers, group.widths, group.levels
     o = basis.n_nodes
-    n = len(lowers)
-    disp = np.reshape(disp, -1)
+    n = group.n_cells
     n_cols = disp.size
-    shift = lm.n_shift.reshape(-1, n_cols)[levels].T
-    fast = conforming & (shift >= -CONFORMING_RADIUS) & (shift < CONFORMING_RADIUS)
+    shift = lm.n_shift[levels].T
+    fast = group.conforming & (shift >= -CONFORMING_RADIUS) & (shift < CONFORMING_RADIUS)
     fast &= not force_slow
     # op[j, s, :, c, :] is the block mapping source cell c to destination s.
     op = np.zeros((n_cols, n, o, n, o))
 
     j, s = np.nonzero(fast)
     if j.size:
-        same = lm.same.reshape(-1, n_cols, o, o)
-        nb = lm.neighbor.reshape(-1, n_cols, o, o)
         q = s - shift[j, s]
-        for src, mats in ((q, same[levels[s], j]), (q - 1, nb[levels[s], j])):
+        for src, mats in ((q, lm.same[levels[s], j]), (q - 1, lm.neighbor[levels[s], j])):
             ok = (bc == PERIODIC) | ((src >= 0) & (src < n))
             op[j[ok], s[ok], :, src[ok] % n] = mats[ok]
 
     j, s = np.nonzero(~fast)
     if j.size:
-        seg, a, b, de = _foot_segments(lowers[s] - disp[j], widths[s], disp[j], bc, radius)
+        seg, a, b, de = _foot_segments(lowers[s] - disp[j], widths[s], disp[j], bc, plan.radius)
         vl = np.maximum(a[:, None], lowers)
         vr = np.minimum(b[:, None], lowers + widths)
         r, c = np.nonzero(vr - vl > 1e-14 * widths[s[seg]][:, None])
@@ -140,26 +138,38 @@ def _pencil_operators(lm: LevelMatrices, disp, lowers, widths, levels, conformin
     return op.reshape(n_cols, n * o, n * o)
 
 
-def sweep_pencil(values, lowers, widths, levels, conforming, speed, dt,
-                 lm: LevelMatrices, bc, radius, basis: DGBasis,
-                 force_slow: bool = False):
+def sweep_pencil(values, widths, speed, dt, bc, basis: DGBasis, force_slow: bool = False):
     """Hybrid SLDG update of one pencil at one speed, batched over leading axes.
 
-    `values` has shape (..., n_cells, p+1) in sweep order and `lm` holds the
-    level matrices of `speed`.  The pencil's operator is assembled as in
-    the column sweep and applied to every line.
+    `values` has shape (..., n_cells, p+1) in sweep order.  The cells tile
+    [-R, R], R half their total width, and each cell's level is its number
+    of halvings from the widest cell.  The pencil is swept as a 1V plan
+    through advect_velocity, one line per column; `values` is not modified.
     """
-    check_bc(bc)
+    widths = np.asarray(widths, dtype=float)
+    if widths.ndim != 1 or widths.size == 0 or not (np.isfinite(widths) & (widths > 0)).all():
+        raise SweepError(f"pencil widths must be a nonempty 1-D array of positive numbers, "
+                         f"got {widths}")
+    h0 = widths.max()
+    levels = np.round(np.log2(h0 / widths)).astype(np.int64)
+    if (widths * 2.0**levels != h0).any():
+        raise SweepError(f"each pencil width must be the widest, {h0}, halved a whole "
+                         f"number of times, got {widths}")
     values = np.asarray(values, dtype=float)
-    n = len(lowers)
-    o = basis.n_nodes
+    n, o = widths.size, basis.n_nodes
     if values.shape[-2:] != (n, o):
-        raise SweepError(
-            f"pencil values shaped {values.shape[-2:]}, expected ({n}, {o})"
-        )
-    op = _pencil_operators(lm, speed * dt, lowers, widths, levels, conforming,
-                           bc, radius, basis, force_slow)[0]
-    return (values.reshape(-1, n * o) @ op.T).reshape(values.shape)
+        raise SweepError(f"pencil values shaped {values.shape}, expected (..., {n}, {o})")
+    total = widths.sum()
+    lowers = -0.5 * total + np.concatenate([[0.0], np.cumsum(widths[:-1])])
+    # n_base = total / h0 need not be whole: the pencil's cells need not
+    # make up whole widest cells.
+    mesh = VelocityMesh(1, 0.5 * total, total / h0, levels, lowers[:, None], widths[:, None])
+    pset = classify_conforming(extract_pencils(mesh, 0))
+    plan = build_sweep_plan(mesh, pset, build_permutation(basis, 1), basis)
+    # An explicit copy: the transpose of a single line is already contiguous.
+    f = values.reshape(-1, n * o).T.copy()
+    advect_velocity(f, np.full(f.shape[1], float(speed)), dt, plan, bc, force_slow)
+    return f.T.reshape(values.shape)
 
 
 @dataclass
@@ -418,13 +428,11 @@ def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
     cols = np.nonzero(speeds != 0.0)[0]
     if cols.size == 0:
         return f
-    basis = plan.basis
     for block in _column_blocks(cols):
         packed = pack_columns(f, block, plan)
-        lm = _level_matrices(basis, speeds[block], dt, plan.base_width, plan.n_levels)
+        lm = _level_matrices(plan.basis, speeds[block], dt, plan.base_width, plan.n_levels)
         for g in plan.groups:
-            op = _pencil_operators(lm, speeds[block] * dt, g.lowers, g.widths, g.levels,
-                                   g.conforming, bc, plan.radius, basis, force_slow)
+            op = _pencil_operators(lm, speeds[block] * dt, g, plan, bc, force_slow)
             lines = packed[g.gather].transpose(2, 0, 1)
             packed[g.gather] = (lines @ op.transpose(0, 2, 1)).transpose(1, 2, 0)
         write_back(f, block, packed, plan)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis import DGBasis
-from .sldg1d import PERIODIC, OverlapPair, ShiftDecomposition, apply_update, decompose_shift, overlap_pair
+from .sldg1d import OverlapPair, ShiftDecomposition, apply_update, decompose_shift, overlap_pair
 
 
 class XGrid:
@@ -89,7 +89,7 @@ def _advect_rows(f, group, n_cells):
     block = f[group.rows]
     shape = block.shape
     vals = block.reshape(len(group.rows), n_cells, -1)
-    f[group.rows] = apply_update(vals, group.decomp, group.pair, PERIODIC).reshape(shape)
+    f[group.rows] = apply_update(vals, group.decomp, group.pair).reshape(shape)
 
 
 def advect_x(f, plan: XAdvectionPlan, workers: int = 1):

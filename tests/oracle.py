@@ -5,7 +5,8 @@ from sldg_vlasov.sldg1d import PERIODIC, check_bc
 
 
 def projection_oracle(values, displacement: float, width: float, basis, bc: str = PERIODIC):
-    """Reference for sldg1d.apply_update.
+    """Reference for the uniform SLDG update: sldg1d.apply_update (periodic)
+    and vsweep.sweep_pencil on a uniform pencil (absorbing).
 
     Translates the piecewise polynomial by `displacement` and projects it
     onto each destination cell by direct 50-point Gauss quadrature over

@@ -83,9 +83,8 @@ def test_pencil_invariants(n_base, levels, direction):
 
 def test_classify_uniform_all_conforming():
     mesh = build_mesh(3, 8, 0, 6.0)
-    for bc in ("absorbing", "periodic"):
-        pset = classify_conforming(extract_pencils(mesh, 0))
-        assert pset.conforming.all()
+    pset = classify_conforming(extract_pencils(mesh, 0))
+    assert pset.conforming.all()
 
 
 def test_classify_amr_interface_nonconforming():

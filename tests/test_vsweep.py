@@ -19,7 +19,6 @@ from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.vsweep import (
     SweepError,
-    _pencil_operators,
     advect_velocity,
     build_sweep_plan,
     pack_columns,
@@ -67,54 +66,29 @@ def generalized_overlap(basis, dest_lo, dest_width, src_lo, src_width, displacem
 
 
 @pytest.fixture(scope="module")
-def amr_setup():
-    basis = DGBasis(3)
-    mesh = build_mesh(3, 4, 1, 6.0)
-    perm = build_permutation(basis, 3)
-    plans = {}
-    for bc in ("absorbing", "periodic"):
-        pset = classify_conforming(extract_pencils(mesh, 0))
-        plans[bc] = build_sweep_plan(mesh, pset, perm, basis)
-    coords = velocity_dof_coords(mesh, basis, perm)
-    weights = velocity_dof_weights(mesh, basis, perm)
-    return basis, mesh, perm, plans, coords, weights
-
-
-@pytest.fixture(scope="module")
 def sweep_plans():
     # Direction-0 plans on the 4^3+AMR1, 4^3+AMR2 and 8^3+AMR1 meshes, p=3,
-    # both boundary modes, with the mesh, the velocity DOF coordinates and
-    # the quadrature weights.  Only the 8^3 mesh has conforming cells in
-    # pencils that change level.
+    # with the mesh, the velocity DOF coordinates and the quadrature
+    # weights; one plan per mesh serves both boundary modes.  Only the 8^3
+    # mesh has conforming cells in pencils that change level.
     basis = DGBasis(3)
     perm = build_permutation(basis, 3)
     out = {}
     for n_base, levels in ((4, 1), (4, 2), (8, 1)):
         mesh = build_mesh(3, n_base, levels, 6.0)
+        pset = classify_conforming(extract_pencils(mesh, 0))
+        plan = build_sweep_plan(mesh, pset, perm, basis)
         coords = velocity_dof_coords(mesh, basis, perm)
         weights = velocity_dof_weights(mesh, basis, perm)
-        for bc in ("absorbing", "periodic"):
-            pset = classify_conforming(extract_pencils(mesh, 0))
-            plan = build_sweep_plan(mesh, pset, perm, basis)
-            out[n_base, levels, bc] = (plan, mesh, coords, weights)
+        out[n_base, levels] = (plan, mesh, coords, weights)
     return out
 
 
 @pytest.fixture(scope="module")
-def periodic_setups():
-    # Periodic direction-0 plans on the 4^3+AMR1 and 4^3+AMR2 meshes, p=3.
-    basis = DGBasis(3)
-    perm = build_permutation(basis, 3)
-    out = {}
-    for levels in (1, 2):
-        mesh = build_mesh(3, 4, levels, 6.0)
-        pset = classify_conforming(extract_pencils(mesh, 0))
-        out[levels] = (
-            build_sweep_plan(mesh, pset, perm, basis),
-            velocity_dof_coords(mesh, basis, perm),
-            velocity_dof_weights(mesh, basis, perm),
-        )
-    return out
+def amr_setup(sweep_plans):
+    # The 4^3+AMR1 plan with its basis and DOF permutation.
+    plan, mesh, coords, weights = sweep_plans[4, 1]
+    return plan.basis, mesh, build_permutation(plan.basis, 3), plan, coords, weights
 
 
 def test_level_matrices_zero_speed():
@@ -190,51 +164,45 @@ def test_generalized_overlap_column_weights():
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
-def _amr_pencil(basis):
+def _amr_pencil():
+    """Lower edges and widths of a pencil with no conforming cell, on [-6, 6]."""
     lowers = np.array([-6.0, -3.0, -1.5, 0.0, 1.5, 3.0])
     widths = np.array([3.0, 1.5, 1.5, 1.5, 1.5, 3.0])
-    levels = np.array([0, 1, 1, 1, 1, 0])
-    conforming = np.zeros(6, dtype=bool)
-    return lowers, widths, levels, conforming
+    return lowers, widths
 
 
 def test_sweep_uniform_operator_matches_apply_update():
     # A conforming uniform pencil's operator is the uniform-grid update:
     # destination cell s reads only cells s - n and s - n - 1 (wrapped), and
-    # applying it matches apply_update.
+    # applying it matches apply_update.  Sweeping the unit vectors gives the
+    # operator's columns.
     basis = DGBasis(3)
     rng = np.random.default_rng(41)
     n = 5
-    lowers = -6.0 + 2.4 * np.arange(n)
     widths = np.full(n, 2.4)
-    levels = np.zeros(n, dtype=np.int64)
-    conforming = np.ones(n, dtype=bool)
     vals = rng.standard_normal((7, n, 4))
+    unit = np.eye(n * 4).reshape(n * 4, n, 4)
     for speed in (1.3, -7.9):  # n_shift 0 and -2
         lm = precompute_level_matrices(basis, speed, 0.4, 2.4, 1)
         ns = lm.n_shift[0]
-        op = _pencil_operators(lm, speed * 0.4, lowers, widths, levels, conforming,
-                               "periodic", 6.0, basis, False)[0]
+        op = sweep_pencil(unit, widths, speed, 0.4, "periodic", basis).reshape(n * 4, n * 4).T
         blocks = op.reshape(n, 4, n, 4).transpose(0, 2, 1, 3)
         nonzero = {(s, c) for s in range(n) for c in range(n) if blocks[s, c].any()}
         assert nonzero == {(s, (s - ns - k) % n) for s in range(n) for k in (0, 1)}
-        out = sweep_pencil(vals, lowers, widths, levels, conforming, speed, 0.4,
-                           lm, "periodic", 6.0, basis)
+        out = sweep_pencil(vals, widths, speed, 0.4, "periodic", basis)
         ref = apply_update(vals, ShiftDecomposition(lm.n_shift[0], lm.frac[0]),
-                           OverlapPair(lm.same[0], lm.neighbor[0]), "periodic")
+                           OverlapPair(lm.same[0], lm.neighbor[0]))
         assert np.abs(out - ref).max() <= 1e-14
 
 
 def test_sweep_amr_mass_conserved_absorbing():
     # Compactly supported data far from the boundary: no outflow possible.
     basis = DGBasis(3)
-    lowers, widths, levels, conforming = _amr_pencil(basis)
+    lowers, widths = _amr_pencil()
     coords = lowers[:, None] + 0.5 * (basis.nodes[None, :] + 1.0) * widths[:, None]
     vals = np.exp(-2.0 * coords**2)
     vals[[0, -1]] = 0.0  # exactly zero in the boundary cells
-    lm = precompute_level_matrices(basis, 0.8, 0.1, 3.0, 2)
-    out = sweep_pencil(vals, lowers, widths, levels, conforming, 0.8, 0.1,
-                       lm, "absorbing", 6.0, basis)
+    out = sweep_pencil(vals, widths, 0.8, 0.1, "absorbing", basis)
     quad = 0.5 * widths[:, None] * basis.weights[None, :]
     mass0 = (quad * vals).sum()
     mass1 = (quad * out).sum()
@@ -243,38 +211,56 @@ def test_sweep_amr_mass_conserved_absorbing():
 
 def test_sweep_amr_mass_conserved_periodic():
     basis = DGBasis(2)
-    lowers, widths, levels, conforming = _amr_pencil(basis)
+    _, widths = _amr_pencil()
     rng = np.random.default_rng(43)
     vals = rng.standard_normal((6, 3))
-    lm = precompute_level_matrices(basis, -2.1, 0.3, 3.0, 2)
-    out = sweep_pencil(vals, lowers, widths, levels, conforming, -2.1, 0.3,
-                       lm, "periodic", 6.0, basis)
+    out = sweep_pencil(vals, widths, -2.1, 0.3, "periodic", basis)
     quad = 0.5 * widths[:, None] * basis.weights[None, :]
     assert abs((quad * out).sum() - (quad * vals).sum()) <= 1e-13
 
 
 def test_sweep_zero_input_zero_output():
     basis = DGBasis(3)
-    lowers, widths, levels, conforming = _amr_pencil(basis)
+    _, widths = _amr_pencil()
     vals = np.zeros((6, 4))
-    lm = precompute_level_matrices(basis, 1.0, 0.25, 3.0, 2)
-    out = sweep_pencil(vals, lowers, widths, levels, conforming, 1.0, 0.25,
-                       lm, "absorbing", 6.0, basis)
+    out = sweep_pencil(vals, widths, 1.0, 0.25, "absorbing", basis)
     assert np.array_equal(out, vals)
 
 
 def test_sweep_hybrid_matches_forced_slow_on_pencil():
+    # Six fine cells between coarse ones: the middle two are conforming, so
+    # the hybrid sweep takes the fast path there.
     basis = DGBasis(3)
-    lowers, widths, levels, _ = _amr_pencil(basis)
-    conforming = classify_flags = np.array([False, False, True, True, False, False])
+    widths = np.array([3.0] + [1.5] * 6 + [3.0])
+    _, conforming = _one_pencil(widths, np.array([0, 1, 1, 1, 1, 1, 1, 0]))
+    assert conforming.any()
     rng = np.random.default_rng(47)
-    vals = rng.standard_normal((3, 6, 4))
-    lm = precompute_level_matrices(basis, 0.9, 0.2, 3.0, 2)
-    hybrid = sweep_pencil(vals, lowers, widths, levels, classify_flags, 0.9, 0.2,
-                          lm, "absorbing", 6.0, basis)
-    slow = sweep_pencil(vals, lowers, widths, levels, classify_flags, 0.9, 0.2,
-                        lm, "absorbing", 6.0, basis, force_slow=True)
+    vals = rng.standard_normal((3, 8, 4))
+    hybrid = sweep_pencil(vals, widths, 0.9, 0.2, "absorbing", basis)
+    slow = sweep_pencil(vals, widths, 0.9, 0.2, "absorbing", basis, force_slow=True)
     assert np.abs(hybrid - slow).max() <= 1e-12
+
+
+@pytest.mark.parametrize("widths", [[1.0, 1.0, 3.0], [1.0, 0.0, 1.0], [1.0, np.nan, 1.0]])
+def test_sweep_pencil_rejects_bad_widths(widths):
+    # Widths that are not the widest one halved a whole number of times
+    # have no level; zero and NaN widths tile nothing.
+    basis = DGBasis(1)
+    with pytest.raises(SweepError, match="width"):
+        sweep_pencil(np.ones((3, 2)), np.array(widths), 0.5, 0.1, "periodic", basis)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4)])
+def test_sweep_pencil_leaves_input_unchanged(shape):
+    # A single line's transpose is already contiguous; the sweep must still
+    # work on a copy.
+    basis = DGBasis(3)
+    _, widths = _amr_pencil()
+    vals = np.random.default_rng(97).standard_normal(shape)
+    before = vals.copy()
+    out = sweep_pencil(vals, widths, 0.9, 0.2, "periodic", basis)
+    assert out.shape == shape and not np.array_equal(out, before)
+    assert np.array_equal(vals, before)
 
 
 @pytest.mark.parametrize("bc", ["absorbing", "periodic"])
@@ -299,7 +285,7 @@ def test_sweep_fast_window_edges(bc, n_shift):
     lm = precompute_level_matrices(basis, speed, dt, 2.0, 2)
     assert lm.n_shift[1] == n_shift
     vals = np.random.default_rng(83).standard_normal((3, 7, 4))
-    args = (lowers, widths, levels, pset.conforming, speed, dt, lm, bc, 4.5, basis)
+    args = (widths, speed, dt, bc, basis)
     hybrid = sweep_pencil(vals, *args)
     slow = sweep_pencil(vals, *args, force_slow=True)
     assert np.abs(hybrid - slow).max() <= 1e-12
@@ -326,14 +312,14 @@ def test_sweep_one_plan_serves_both_modes(bc, n_shift):
     basis = DGBasis(3)
     widths = np.array([1.0] * 6 + [2.0] * 2)
     levels = np.array([1, 1, 1, 1, 1, 1, 0, 0])
-    lowers, conforming = _one_pencil(widths, levels)
+    _, conforming = _one_pencil(widths, levels)
     assert conforming.tolist() == [False, False, True, True, False, False, False, False]
     dt = 0.1
     speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
     lm = precompute_level_matrices(basis, speed, dt, 2.0, 2)
     assert lm.n_shift[1] == n_shift
     vals = np.random.default_rng(89).standard_normal((3, 8, 4))
-    args = (lowers, widths, levels, conforming, speed, dt, lm, bc, 5.0, basis)
+    args = (widths, speed, dt, bc, basis)
     hybrid = sweep_pencil(vals, *args)
     slow = sweep_pencil(vals, *args, force_slow=True)
     assert np.abs(hybrid - slow).max() <= 1e-12
@@ -361,17 +347,13 @@ def test_sweep_random_balanced_pencils(depths, degree, bc, shifts, seed):
     basis = DGBasis(degree)
     h0 = 2.0
     widths = np.concatenate([np.full(2**d, h0 / 2**d) for d in depths])
-    levels = np.concatenate([np.full(2**d, d) for d in depths])
-    radius = 0.5 * h0 * len(depths)
-    lowers, conforming = _one_pencil(widths, levels)
     dt = 0.1
     vals = np.random.default_rng(seed).standard_normal((2, len(widths), basis.n_nodes))
     quad = 0.5 * widths[:, None] * basis.weights
     scale = (quad * np.abs(vals)).sum()
     for shift in shifts:  # in finest cells
         speed = shift * (h0 / 4) / dt
-        lm = precompute_level_matrices(basis, speed, dt, h0, 3)
-        args = (lowers, widths, levels, conforming, speed, dt, lm, bc, radius, basis)
+        args = (widths, speed, dt, bc, basis)
         hybrid = sweep_pencil(vals, *args)
         slow = sweep_pencil(vals, *args, force_slow=True)
         assert np.abs(hybrid - slow).max() <= 1e-12, shift
@@ -381,12 +363,11 @@ def test_sweep_random_balanced_pencils(depths, degree, bc, shifts, seed):
 
 def test_sweep_linearity():
     basis = DGBasis(2)
-    lowers, widths, levels, conforming = _amr_pencil(basis)
+    _, widths = _amr_pencil()
     rng = np.random.default_rng(53)
     u = rng.standard_normal((6, 3))
     w = rng.standard_normal((6, 3))
-    lm = precompute_level_matrices(basis, 1.7, 0.15, 3.0, 2)
-    args = (lowers, widths, levels, conforming, 1.7, 0.15, lm, "periodic", 6.0, basis)
+    args = (widths, 1.7, 0.15, "periodic", basis)
     lhs = sweep_pencil(2.0 * u - 0.7 * w, *args)
     rhs = 2.0 * sweep_pencil(u, *args) - 0.7 * sweep_pencil(w, *args)
     assert np.abs(lhs - rhs).max() <= 1e-12
@@ -397,8 +378,7 @@ def test_weighted_writeback_copy_and_average(amr_setup):
     # result bit for bit; a shared cell whose sub-pencil results are all its
     # own polynomial (the packed prolongation) gets that polynomial back,
     # because the restrictions of its entries sum to R.P = I.
-    basis, mesh, perm, plans, coords, weights = amr_setup
-    plan = plans["periodic"]
+    basis, mesh, perm, plan, coords, weights = amr_setup
     rng = np.random.default_rng(73)
     cols = slice(0, 3)
     single = np.ones(plan.n_dofs, dtype=bool)
@@ -420,7 +400,7 @@ def test_weighted_writeback_copy_and_average(amr_setup):
 def test_weighted_writeback_rejects_uncovered(amr_setup):
     # Dropping one pencil leaves part of some cells without a pencil, so
     # their write-back weights no longer sum to one.
-    basis, mesh, perm, plans, coords, weights = amr_setup
+    basis, mesh, perm, plan, coords, weights = amr_setup
     pset = classify_conforming(extract_pencils(mesh, 0))
     keep = slice(0, int(pset.offsets[-2]))
     holey = PencilSet(
@@ -441,45 +421,46 @@ def test_weighted_writeback_rejects_uncovered(amr_setup):
 
 
 def test_advect_zero_field_bitwise(amr_setup):
-    basis, mesh, perm, plans, coords, weights = amr_setup
+    basis, mesh, perm, plan, coords, weights = amr_setup
     rng = np.random.default_rng(59)
-    f = rng.standard_normal((plans["absorbing"].n_dofs, 4))
+    f = rng.standard_normal((plan.n_dofs, 4))
     before = f.copy()
-    out = advect_velocity(f, np.zeros(4), 0.1, plans["absorbing"])
+    out = advect_velocity(f, np.zeros(4), 0.1, plan)
     assert out is f
     assert np.array_equal(f, before)
     # Zero-speed columns between moving ones keep their bits too.
-    advect_velocity(f, np.array([0.5, 0.0, 0.7, 0.0]), 0.1, plans["absorbing"])
+    advect_velocity(f, np.array([0.5, 0.0, 0.7, 0.0]), 0.1, plan)
     assert np.array_equal(f[:, [1, 3]], before[:, [1, 3]])
     assert not np.array_equal(f[:, [0, 2]], before[:, [0, 2]])
 
 
 def test_advect_rejects_integer_field(amr_setup):
     # An integer field would come back truncated by the in-place write-back.
-    plan = amr_setup[3]["absorbing"]
+    plan = amr_setup[3]
     f = np.ones((plan.n_dofs, 2), dtype=np.int64)
     with pytest.raises(SweepError, match="f must be a float64"):
         advect_velocity(f, np.array([0.5, -0.5]), 0.1, plan)
 
 
 def test_advect_rejects_float32_field(amr_setup):
-    plan = amr_setup[3]["absorbing"]
+    plan = amr_setup[3]
     f = np.ones((plan.n_dofs, 2), dtype=np.float32)
     with pytest.raises(SweepError, match="f must be a float64"):
         advect_velocity(f, np.array([0.5, -0.5]), 0.1, plan)
 
 
 def test_advect_rejects_2d_speeds(amr_setup):
-    plan = amr_setup[3]["absorbing"]
+    plan = amr_setup[3]
     f = np.ones((plan.n_dofs, 2))
     with pytest.raises(SweepError, match="speeds must be 1-D"):
         advect_velocity(f, np.array([[0.5, -0.5]]), 0.1, plan)
 
 
-def test_advect_global_mass_periodic(periodic_setups):
+def test_advect_global_mass_periodic(sweep_plans):
     rng = np.random.default_rng(61)
     speeds = np.array([0.31, -0.9, 0.02])
-    for levels, (plan, coords, weights) in periodic_setups.items():
+    for levels in (1, 2):
+        plan, _, coords, weights = sweep_plans[4, levels]
         f = rng.standard_normal((plan.n_dofs, 3))
         masses0 = weights @ f
         advect_velocity(f, speeds, 0.1, plan, bc="periodic")
@@ -487,14 +468,15 @@ def test_advect_global_mass_periodic(periodic_setups):
         assert np.abs((masses1 - masses0) / masses0).max() <= 1e-12, levels
 
 
-def test_advect_transverse_moments_periodic(periodic_setups):
+def test_advect_transverse_moments_periodic(sweep_plans):
     # A v_x sweep solves f_t + E f_vx = 0, which leaves every moment that
     # depends only on (v_y, v_z) unchanged.  The coarse/fine transfer must
     # keep them too: the L2 restriction preserves transverse moments of
     # degree <= p.
     rng = np.random.default_rng(79)
     speeds = np.array([0.31, -0.9, 1.7, -3.3])
-    for levels, (plan, coords, weights) in periodic_setups.items():
+    for levels in (1, 2):
+        plan, _, coords, weights = sweep_plans[4, levels]
         kernels = np.stack([
             weights,
             weights * coords[:, 1],
@@ -508,14 +490,14 @@ def test_advect_transverse_moments_periodic(periodic_setups):
 
 
 def test_advect_hybrid_vs_forced_slow(amr_setup):
-    basis, mesh, perm, plans, coords, weights = amr_setup
+    basis, mesh, perm, plan, coords, weights = amr_setup
     rng = np.random.default_rng(67)
-    f = rng.standard_normal((plans["absorbing"].n_dofs, 2))
+    f = rng.standard_normal((plan.n_dofs, 2))
     speeds = np.array([0.55, -1.2])
     fa = f.copy()
     fb = f.copy()
-    advect_velocity(fa, speeds, 0.1, plans["absorbing"], bc="absorbing")
-    advect_velocity(fb, speeds, 0.1, plans["absorbing"], bc="absorbing", force_slow=True)
+    advect_velocity(fa, speeds, 0.1, plan, bc="absorbing")
+    advect_velocity(fb, speeds, 0.1, plan, bc="absorbing", force_slow=True)
     assert np.abs(fa - fb).max() <= 1e-12
 
 
@@ -523,10 +505,10 @@ def test_advect_column_blocks_independent(amr_setup):
     # Columns share a block's batched assembly and product, not their
     # arithmetic: sweeping 20 columns (two blocks) at once matches sweeping
     # each column alone.
-    basis, mesh, perm, plans, coords, weights = amr_setup
+    basis, mesh, perm, plan, coords, weights = amr_setup
     rng = np.random.default_rng(71)
     speeds = rng.uniform(-1.5, 1.5, size=20)
-    for bc, plan in plans.items():
+    for bc in ("absorbing", "periodic"):
         f = rng.standard_normal((plan.n_dofs, speeds.size))
         together = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
         for j in range(speeds.size):
@@ -538,11 +520,11 @@ def test_advect_maxwellian_constant_field(amr_setup):
     # Constant acceleration shifts the Maxwellian; compare against analytic
     # evaluation at the DOFs.  The bound is a regression pin of the coarse
     # mesh's projection error (exactness is impossible off the DG space).
-    basis, mesh, perm, plans, coords, weights = amr_setup
+    basis, mesh, perm, plan, coords, weights = amr_setup
     g = (2 * np.pi) ** -1.5 * np.exp(-0.5 * (coords**2).sum(axis=1))
     f = np.ascontiguousarray(g[:, None])
     e_const, dt = 0.8, 0.5
-    advect_velocity(f, np.array([e_const]), dt, plans["absorbing"], bc="absorbing")
+    advect_velocity(f, np.array([e_const]), dt, plan, bc="absorbing")
     shifted = coords.copy()
     shifted[:, 0] -= e_const * dt
     expect = (2 * np.pi) ** -1.5 * np.exp(-0.5 * (shifted**2).sum(axis=1))
@@ -551,8 +533,7 @@ def test_advect_maxwellian_constant_field(amr_setup):
 
 
 def test_sweep_plan_group_layout(amr_setup):
-    basis, mesh, perm, plans, coords, weights = amr_setup
-    plan = plans["absorbing"]
+    basis, mesh, perm, plan, coords, weights = amr_setup
     # 4^3+AMR1 direction 0: coarse-only pencils and mixed pencils.
     assert len(plan.groups) == 2
     sizes = sorted((g.n_lines, g.n_cells) for g in plan.groups)
@@ -587,7 +568,7 @@ def test_advect_batched_sweep_properties(sweep_plans, mesh, bc, speeds, seed):
     # many cells: conforming cells take the fast path only for integer shifts
     # in [-2, 1] at their level, and every larger shift, which could carry
     # their sources across a level change, goes to the slow path.
-    plan, _, _, weights = sweep_plans[(*mesh, bc)]
+    plan, _, _, weights = sweep_plans[mesh]
     speeds = np.array(speeds)
     f = np.random.default_rng(seed).random((plan.n_dofs, speeds.size))
     hybrid = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
@@ -609,7 +590,7 @@ def test_advect_polynomial_exact_on_amr(sweep_plans, mesh, degree, speeds, seed)
     # and every pencil, so one sweep translates it exactly wherever the foot
     # interval stays inside [-R, R] (absorbing boundaries read zero outside),
     # on the fast path, on the slow path and through the coarse/fine transfer.
-    plan, vmesh, coords, _ = sweep_plans[(*mesh, "absorbing")]
+    plan, vmesh, coords, _ = sweep_plans[mesh]
     coefs = np.random.default_rng(seed).uniform(-1.0, 1.0, degree + 1)
     speeds = np.array(speeds)
     disp = speeds * 0.1
