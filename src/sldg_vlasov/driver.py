@@ -1,10 +1,21 @@
 """Strang-split time integrator, diagnostics, and damping-rate extraction.
 
-One step advances: half x-advection, field solve, full v-advection with the
-freshly solved electric field, half x-advection.  Diagnostics (max field,
-velocity moments, field and total energy) are recorded once per completed
-step; the damping rate is a least-squares fit of log E_max over the initial
-strictly decreasing run of envelope peaks.
+A Strang step is half x-advection, field solve, full v-advection with the
+freshly solved electric field, half x-advection.  The trailing half
+x-step of one step and the leading half x-step of the next are fused
+into one full x-step (Cheng & Knorr 1976), so each step runs one
+x-advection: `Simulation.step()` leaves its trailing half x-step pending,
+the next step applies it together with its own leading half as a full
+x-step, and `Simulation.sync()` applies a pending half step on its own.
+`Simulation.run()` syncs before it returns.
+
+Diagnostics (max field, velocity moments, field and total energy) are
+recorded once per completed step and are valid with a half x-step
+pending: the moments integrate each velocity row over x first, and the
+periodic SLDG x-advection keeps every row's x-integral, while the field
+energy and max field come from the mid-step field.  The damping rate is a
+least-squares fit of log E_max over the initial strictly decreasing run
+of envelope peaks.
 """
 from __future__ import annotations
 
@@ -19,10 +30,15 @@ from .sldg1d import ABSORBING, PERIODIC
 from .tensor import build_permutation
 from .vmesh import build_mesh, ip_count
 from .vsweep import advect_velocity, build_sweep_plan
-from .xfield import PoissonSolver, XGrid, advect_x, compute_rho, field_energy, precompute_x_matrices
+from .xfield import (PoissonSolver, XGrid, advect_x, compute_rho, field_energy,
+                     precompute_x_matrices, rescale_x_plan)
 
 # Linear Landau damping rate of the k = 0.5 Maxwellian benchmark.
 LANDAU_RATE_K05 = -0.1533
+
+
+# SimConfig fields that count something and must be integers.
+_COUNT_FIELDS = ("dim", "n_base", "levels", "degree", "degree_x", "n_x", "n_steps", "workers")
 
 
 @dataclass(frozen=True)
@@ -46,6 +62,10 @@ class SimConfig:
 
     def validate(self) -> "SimConfig":
         """Reject an invalid configuration with a message naming the field."""
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (1, 3):
             raise ValueError(f"dim must be 1 or 3, got {self.dim}")
         if self.n_base < 2:
@@ -213,6 +233,8 @@ class Simulation:
         self.vcoords = velocity_dof_coords(self.mesh, self.basis, self.perm)
         self.vweights = velocity_dof_weights(self.mesh, self.basis, self.perm)
         self.x_plan = precompute_x_matrices(self.xgrid, self.vcoords[:, 0], 0.5 * c.dt)
+        self.x_plan_full = rescale_x_plan(self.xgrid, self.x_plan, c.dt)
+        self.x_pending = False  # trailing half x-step of the last step not yet applied
         self.poisson = PoissonSolver(self.xgrid)
         self.f = sample_initial(c, self.vcoords, self.xgrid.dof_coords)
         self.t = 0.0
@@ -235,22 +257,39 @@ class Simulation:
         )
 
     def step(self) -> DiagnosticsRecord:
-        """One Strang step: half-x, field solve, full-v, half-x.
+        """One Strang step with its trailing half x-step left pending.
+
+        Applies the previous step's pending half x-step fused with this
+        step's leading one as a single full x-step (a half x-step when none
+        is pending), then the field solve and the full v-step.  `f` is
+        left with the trailing half x-step pending; `sync()` applies it.
+        The returned record is valid without a sync: its moments are
+        x-integrals, which the periodic x-advection keeps, and its field
+        values come from the mid-step field.
 
         Raises RuntimeError, naming the step, when the solved field is not
         finite (a non-finite f reaches it through the charge density).
         """
         c = self.config
-        advect_x(self.f, self.x_plan, workers=c.workers)
+        advect_x(self.f, self.x_plan_full if self.x_pending else self.x_plan, workers=c.workers)
         e_field = self.field_solve()
         if not np.isfinite(e_field).all():
             raise RuntimeError(f"non-finite electric field at step {self.n_done + 1}")
         advect_velocity(self.f, e_field, c.dt, self.sweep_plan, bc=c.bc,
                         force_slow=c.force_slow)
-        advect_x(self.f, self.x_plan, workers=c.workers)
+        self.x_pending = True
         self.t += c.dt
         self.n_done += 1
         return self.diagnostics(e_field)
+
+    def sync(self) -> None:
+        """Apply a pending trailing half x-step, so `f` holds the state at `t`.
+
+        Does nothing when no half step is pending.
+        """
+        if self.x_pending:
+            advect_x(self.f, self.x_plan, workers=self.config.workers)
+            self.x_pending = False
 
     @staticmethod
     def _check_finite(rec: DiagnosticsRecord, step: int) -> DiagnosticsRecord:
@@ -260,10 +299,13 @@ class Simulation:
         return rec
 
     def run(self) -> RunResult:
+        """Record the current state, advance `n_steps` steps, and sync `f`."""
         start = time.perf_counter()
+        self.sync()
         records = [self._check_finite(self.diagnostics(self.field_solve()), 0)]
         for _ in range(self.config.n_steps):
             records.append(self._check_finite(self.step(), self.n_done))
+        self.sync()
         wall = time.perf_counter() - start
 
         t = np.array([r.t for r in records])

@@ -1,11 +1,12 @@
 """Spatial side of the solver: periodic DG x-grid, x-advection, Poisson solve.
 
 The x-advection reuses the uniform-grid SLDG update with one precomputed
-overlap pair per distinct velocity-DOF speed (speeds never change, so the
-pairs are built once before the time loop).  The Poisson equation is
-discretized with continuous finite elements of the same degree on the same
-cells and solved directly with a zero-mean constraint to fix the periodic
-null space.
+overlap pair per distinct velocity-DOF speed and step length (speeds never
+change, so the pairs are built once before the time loop; a plan for a
+second step length reuses the first plan's speed groups).  The Poisson
+equation is discretized with continuous finite elements of the same degree
+on the same cells and solved directly with a zero-mean constraint to fix
+the periodic null space.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ class XGrid:
 @dataclass(frozen=True)
 class _SpeedGroup:
     rows: np.ndarray
+    speed: float
     decomp: ShiftDecomposition
     pair: OverlapPair
 
@@ -58,6 +60,19 @@ class XAdvectionPlan:
 
     n_cells: int
     groups: tuple
+
+
+def _build_plan(xgrid: XGrid, rows, speeds, dt: float) -> XAdvectionPlan:
+    """Plan for the given row groups and their speeds, matrices built in one batch."""
+    d = decompose_shift(speeds, dt, xgrid.h)
+    pair = overlap_pair(xgrid.basis, d.frac)
+    groups = tuple(
+        _SpeedGroup(r, float(speeds[u]),
+                    ShiftDecomposition(int(d.n_shift[u]), float(d.frac[u])),
+                    OverlapPair(pair.same[u], pair.neighbor[u]))
+        for u, r in enumerate(rows)
+    )
+    return XAdvectionPlan(xgrid.n_cells, groups)
 
 
 def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
@@ -72,15 +87,18 @@ def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
     if not np.isfinite(speeds).all():
         raise ValueError("advection speeds must be finite")
     uniq, inverse = np.unique(speeds, return_inverse=True)
-    d = decompose_shift(uniq, dt, xgrid.h)
-    pair = overlap_pair(xgrid.basis, d.frac)
-    groups = tuple(
-        _SpeedGroup(np.nonzero(inverse == u)[0],
-                    ShiftDecomposition(int(d.n_shift[u]), float(d.frac[u])),
-                    OverlapPair(pair.same[u], pair.neighbor[u]))
-        for u in range(len(uniq))
-    )
-    return XAdvectionPlan(xgrid.n_cells, groups)
+    rows = [np.nonzero(inverse == u)[0] for u in range(len(uniq))]
+    return _build_plan(xgrid, rows, uniq, dt)
+
+
+def rescale_x_plan(xgrid: XGrid, plan: XAdvectionPlan, dt: float) -> XAdvectionPlan:
+    """The plan's row groups and speeds with matrices for time step dt.
+
+    Equal to `precompute_x_matrices` at dt for the same speeds, without
+    grouping the rows again.
+    """
+    speeds = np.array([g.speed for g in plan.groups])
+    return _build_plan(xgrid, [g.rows for g in plan.groups], speeds, dt)
 
 
 def _advect_rows(f, group, n_cells):

@@ -215,6 +215,8 @@ def test_criterion_concurrency_determinism():
         for _ in range(cfg.n_steps):
             for sim in sims:
                 sim.step()
+        for sim in sims:
+            sim.sync()
         worst = max(worst, np.abs(sims[0].f - sims[1].f).max())
     ok = worst <= 1e-12
     _report(10, ok, f"worker count 1 vs 4 max difference {worst:.3e} (<= 1e-12)")

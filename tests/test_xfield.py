@@ -12,6 +12,7 @@ from sldg_vlasov.xfield import (
     compute_rho,
     field_energy,
     precompute_x_matrices,
+    rescale_x_plan,
 )
 
 LENGTH = 4.0 * np.pi  # 2 pi / k with k = 0.5
@@ -51,6 +52,21 @@ def test_precompute_partition_of_unity(xgrid):
     w = xgrid.basis.weights
     for g in plan.groups:
         assert np.abs(w @ (g.pair.same + g.pair.neighbor) - w).max() < 1e-12
+
+
+def test_rescale_matches_precompute(xgrid):
+    # The full-dt plan derived from the half-dt plan's groups is the plan
+    # built from scratch at the full dt, bit for bit.
+    speeds = np.array([0.7, -0.2, 0.0, 0.7, 3.9, -0.2, -5.1])
+    half = precompute_x_matrices(xgrid, speeds, 0.05)
+    got = rescale_x_plan(xgrid, half, 0.1)
+    want = precompute_x_matrices(xgrid, speeds, 0.1)
+    assert got.n_cells == want.n_cells and len(got.groups) == len(want.groups)
+    for a, b in zip(got.groups, want.groups):
+        np.testing.assert_array_equal(a.rows, b.rows)
+        assert (a.speed, a.decomp) == (b.speed, b.decomp)
+        np.testing.assert_array_equal(a.pair.same, b.pair.same)
+        np.testing.assert_array_equal(a.pair.neighbor, b.pair.neighbor)
 
 
 def test_precompute_rejects_nonfinite(xgrid):
