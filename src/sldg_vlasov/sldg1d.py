@@ -82,7 +82,7 @@ def overlap_blocks(basis: DGBasis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp)
     destination cell) against source basis function j over the foot
     segment [vl[n], vr[n]], scaled by 2/dest_w so the measure is the
     destination's reference coordinate.  All arguments are 1D arrays of
-    one length; the 2p+2-point Gauss rule is exact for the degree-2p
+    one length; the (p+1)-point Gauss rule is exact for the degree-2p
     integrand.  The inverse mass matrix is not applied.
     """
     gq, gw = basis.gauss_nodes, basis.gauss_weights

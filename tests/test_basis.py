@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sldg_vlasov.basis import DGBasis, gauss_rule, gll_rule
+from sldg_vlasov.basis import MAX_DEGREE, DGBasis, gll_rule
 
 
 def test_gll_p1_analytic():
@@ -14,6 +14,21 @@ def test_gll_p2_analytic():
     nodes, weights = gll_rule(2)
     np.testing.assert_allclose(nodes, [-1.0, 0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(weights, [1 / 3, 4 / 3, 1 / 3], atol=1e-15)
+
+
+def test_gll_p3_analytic():
+    nodes, weights = gll_rule(3)
+    r = 1 / np.sqrt(5)
+    np.testing.assert_allclose(nodes, [-1.0, -r, r, 1.0], atol=1e-15)
+    np.testing.assert_allclose(weights, [1 / 6, 5 / 6, 5 / 6, 1 / 6], atol=1e-15)
+
+
+def test_gll_p4_analytic():
+    nodes, weights = gll_rule(4)
+    r = np.sqrt(3 / 7)
+    np.testing.assert_allclose(nodes, [-1.0, -r, 0.0, r, 1.0], atol=1e-15)
+    np.testing.assert_allclose(weights, [1 / 10, 49 / 90, 32 / 45, 49 / 90, 1 / 10],
+                               atol=1e-15)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -45,25 +60,11 @@ def test_gll_degree_validation():
             gll_rule(bad)
 
 
-def test_gauss_small_rules():
-    nodes, weights = gauss_rule(1)
-    np.testing.assert_allclose(nodes, [0.0], atol=1e-16)
-    np.testing.assert_allclose(weights, [2.0], atol=1e-16)
-    nodes, weights = gauss_rule(2)
-    np.testing.assert_allclose(np.abs(nodes), 1 / np.sqrt(3), atol=1e-15)
-    np.testing.assert_allclose(weights, [1.0, 1.0], atol=1e-15)
-
-
-def test_gauss_count_validation():
-    for bad in (0, 21, -3):
-        with pytest.raises(ValueError):
-            gauss_rule(bad)
-
-
-@pytest.mark.parametrize("p", range(1, 6))
+@pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
 def test_gauss_integrates_lagrange_products(p):
-    # 2p+2 points against an oversampled 50-point reference rule.
+    # p+1 points (exact to degree 2p+1) against an oversampled 50-point rule.
     basis = DGBasis(p)
+    assert basis.gauss_nodes.shape == basis.gauss_weights.shape == (p + 1,)
     gq50, gw50 = np.polynomial.legendre.leggauss(50)
     ref = basis.eval_all(gq50)
     coarse = basis.eval_all(basis.gauss_nodes)

@@ -13,9 +13,10 @@ from sldg_vlasov.cli import (
     TABLE2_PRESETS,
     main,
     parse_config,
+    summarize,
     write_plot_script,
 )
-from sldg_vlasov.driver import DampingFit
+from sldg_vlasov.driver import LANDAU_RATE_K05, DampingFit, RunResult, SimConfig
 
 FAST_ARGS = ["--dv", "1", "--Nb", "16", "--p", "2", "--Nx", "16", "--steps", "3"]
 
@@ -29,6 +30,26 @@ def test_defaults():
     assert cfg.perturbation == 0.01
     assert cfg.dt == 0.1
     assert cfg.dim == 3 and cfg.n_base == 4 and cfg.levels == 0
+
+
+def test_defaults_match_simconfig():
+    assert parse_config([])[0] == SimConfig()
+
+
+def _fitted_result(wave_number):
+    fit = DampingFit(rate=1.1 * LANDAU_RATE_K05, intercept=0.0, n_peaks=3,
+                     peak_times=[1.0, 2.0, 3.0], peak_values=[1.0, 0.9, 0.8])
+    return RunResult(config=SimConfig(wave_number=wave_number), records=[], fit=fit,
+                     mass_error=0.0, energy_drift=0.0, n_cells=64, n_ips=4096,
+                     wall_time=0.0)
+
+
+def test_rate_error_only_against_k05_reference():
+    # The analytic reference rate is for k = 0.5; another k has no reference.
+    assert summarize(_fitted_result(0.5))["rate_error_pct"] == pytest.approx(10.0)
+    summary = summarize(_fitted_result(0.4))
+    assert summary["gamma"] == 1.1 * LANDAU_RATE_K05
+    assert summary["rate_error_pct"] == "---"
 
 
 def test_table2_preset():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sldg_vlasov.basis import DGBasis
+from sldg_vlasov.basis import MAX_DEGREE, DGBasis
 from sldg_vlasov.sldg1d import (
     ABSORBING,
     PERIODIC,
@@ -88,7 +88,7 @@ def test_overlap_rejects_out_of_range():
             overlap_pair(basis, bad)
 
 
-@pytest.mark.parametrize("p", range(1, 6))
+@pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
 def test_partition_of_unity(p):
     # sum_i w_i (A_ij + B_ij) = w_j guarantees exact mass conservation.
     rng = np.random.default_rng(23)
@@ -162,7 +162,7 @@ def test_full_wrap_is_identity():
     np.testing.assert_allclose(out, vals, atol=0)
 
 
-@pytest.mark.parametrize("p", range(1, 6))
+@pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
 def test_polynomial_exactness(p):
     # A global polynomial is translated exactly; destination cells whose
     # sources straddle the periodic seam read a stitched pair of period
