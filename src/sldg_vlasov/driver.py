@@ -132,9 +132,6 @@ class RunResult:
     n_ips: int
     wall_time: float
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
-
 
 def velocity_dof_coords(mesh, basis: DGBasis, perm) -> np.ndarray:
     """Physical coordinates of every velocity DOF, shape (n_dofs, dim)."""
@@ -173,22 +170,18 @@ def moments(f, velocity_weights, vcoords, x_weights):
     return m0, m1, m2
 
 
-def _peak_indices(values) -> list:
-    """Strict three-point local maxima; plateaus break toward the earlier index."""
-    peaks = []
-    n = len(values)
-    i = 1
-    while i < n - 1:
-        if values[i] > values[i - 1]:
-            j = i
-            while j < n - 1 and values[j + 1] == values[i]:
-                j += 1
-            if j < n - 1 and values[j + 1] < values[i]:
-                peaks.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return peaks
+def _peak_indices(values) -> np.ndarray:
+    """Strict three-point local maxima; plateaus break toward the earlier index.
+
+    Each run of equal values stands for its first index, and a run above
+    both neighboring runs is a peak.
+    """
+    v = np.asarray(values)
+    first = np.ones(len(v), dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    start = np.flatnonzero(first)
+    r = v[start]
+    return start[1:-1][(r[1:-1] > r[:-2]) & (r[1:-1] > r[2:])]
 
 
 def fit_damping_rate(times, values) -> DampingFit:
@@ -203,7 +196,7 @@ def fit_damping_rate(times, values) -> DampingFit:
     values = np.asarray(values, dtype=float)
     if len(times) < 3:
         return DampingFit(None, None, 0, np.array([]), np.array([]))
-    idx = _peak_indices(values)
+    idx = _peak_indices(values).tolist()
     run = idx[:1]
     for k in idx[1:]:
         if values[k] < values[run[-1]]:

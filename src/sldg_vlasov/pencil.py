@@ -3,14 +3,16 @@
 A pencil is a maximal gap-free run of cells sharing a transverse extent
 along one sweep axis.  Pencils are extracted in three steps: collect the
 unique transverse edge coordinates, form the Cartesian product of the
-resulting transverse intervals, then gather for each interval pair the
-cells covering it.  Each pencil records its transverse rectangle.  A
-coarse cell spanning several fine transverse intervals lands in several
-pencils; each entry's weight is the share of the cell's transverse area
-that the pencil's rectangle covers, so the weights of a cell sum to one.
+resulting transverse intervals, then gather for each rectangle the cells
+covering it (a 1V mesh has one empty rectangle).  Each pencil records
+its transverse rectangle.  A coarse cell spanning several fine transverse
+intervals lands in several pencils; each entry's weight is the share of
+the cell's transverse area that the pencil's rectangle covers, so the
+weights of a cell sum to one.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +50,9 @@ class PencilSet:
     widths: np.ndarray
     levels: np.ndarray
     weights: np.ndarray
+    t_lowers: np.ndarray
+    t_widths: np.ndarray
     conforming: np.ndarray = field(default=None)
-    t_lowers: np.ndarray = field(default=None)
-    t_widths: np.ndarray = field(default=None)
 
     def pencil_slice(self, q: int) -> slice:
         return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
@@ -75,39 +77,26 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
     tol = 1e-9 * mesh.base_width
     t_dims = [t for t in range(mesh.dim) if t != direction]
 
-    t_lowers, t_widths = [], []
-    if t_dims:
-        intervals = []
-        for t in t_dims:
-            edges = _unique_edges(
-                np.concatenate([mesh.lo[:, t], mesh.lo[:, t] + mesh.width[:, t]]), tol
-            )
-            intervals.append(list(zip(edges[:-1], edges[1:])))
-        # Lexicographic pencil order: first transverse dimension varies fastest.
-        pairs = [(i1, i2) for i2 in range(len(intervals[1]))
-                 for i1 in range(len(intervals[0]))]
-        pencil_members = []
-        for i1, i2 in pairs:
-            a1, b1 = intervals[0][i1]
-            a2, b2 = intervals[1][i2]
-            covers = (
-                (mesh.lo[:, t_dims[0]] <= a1 + tol)
-                & (mesh.lo[:, t_dims[0]] + mesh.width[:, t_dims[0]] >= b1 - tol)
-                & (mesh.lo[:, t_dims[1]] <= a2 + tol)
-                & (mesh.lo[:, t_dims[1]] + mesh.width[:, t_dims[1]] >= b2 - tol)
-            )
-            ids = np.nonzero(covers)[0]
-            if ids.size == 0:
-                raise PencilError(
-                    f"pencil ({i1},{i2}) in direction {direction} covers no cells"
-                )
-            pencil_members.append(ids)
-            t_lowers.append((a1, a2))
-            t_widths.append((b1 - a1, b2 - a2))
-    else:
-        pencil_members = [np.arange(mesh.n_cells)]
-    t_lowers = np.asarray(t_lowers, dtype=float).reshape(len(pencil_members), len(t_dims))
-    t_widths = np.asarray(t_widths, dtype=float).reshape(len(pencil_members), len(t_dims))
+    intervals = []
+    for t in t_dims:
+        edges = _unique_edges(
+            np.concatenate([mesh.lo[:, t], mesh.lo[:, t] + mesh.width[:, t]]), tol
+        )
+        intervals.append(list(zip(edges[:-1], edges[1:])))
+    # Lexicographic pencil order: first transverse dimension varies fastest.
+    # A 1V mesh has one empty rectangle, so one pencil of every cell.
+    rects = [rect[::-1] for rect in itertools.product(*intervals[::-1])]
+    pencil_members = []
+    for q, rect in enumerate(rects):
+        covers = np.ones(mesh.n_cells, dtype=bool)
+        for t, (a, b) in zip(t_dims, rect):
+            covers &= (mesh.lo[:, t] <= a + tol) & (mesh.lo[:, t] + mesh.width[:, t] >= b - tol)
+        ids = np.nonzero(covers)[0]
+        if ids.size == 0:
+            raise PencilError(f"pencil {q} in direction {direction} covers no cells")
+        pencil_members.append(ids)
+    t_lowers = np.array([[a for a, _ in rect] for rect in rects], dtype=float)
+    t_widths = np.array([[b - a for a, b in rect] for rect in rects], dtype=float)
 
     offsets = [0]
     cell_ids = []

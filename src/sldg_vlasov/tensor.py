@@ -19,9 +19,10 @@ class TensorPermutation:
     """Forward DOF -> (i, j, k) map plus per-direction line index lists.
 
     lines[d] has shape ((p+1)^(dim-1), p+1): row t lists the cell-local DOF
-    indices along direction d for transverse pair t = t1 + (p+1)*t2, ordered
-    by increasing sweep index.  Transverse dimensions are taken in
-    increasing axis order.
+    indices along direction d for transverse nodes t = t1 + (p+1)*t2 + ...,
+    ordered by increasing sweep index.  Transverse dimensions are taken in
+    increasing axis order; a 1V cell has one line.  Line t sits at node
+    forward[lines[d][t, 0], a] of each transverse axis a.
     """
 
     degree: int
@@ -39,16 +40,9 @@ def build_permutation(basis: DGBasis, dim: int) -> TensorPermutation:
     if dim not in (1, 3):
         raise ValueError(f"velocity dimension must be 1 or 3, got {dim}")
     o = basis.n_nodes
-    ids = np.arange(o**dim)
-    if dim == 1:
-        return TensorPermutation(basis.degree, dim, ids[:, None], (ids[None, :].copy(),))
-
-    forward = np.stack([ids % o, (ids // o) % o, ids // (o * o)], axis=1)
-    # grid[k, j, i] = i + o*j + o^2*k; each transpose puts the pencil's
-    # second transverse index first and the sweep index last.
-    grid = ids.reshape(o, o, o)
-    lines = tuple(
-        np.ascontiguousarray(grid.transpose(axes)).reshape(o * o, o)
-        for axes in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-    )
+    # grid[..., j, i] = i + o*j + ...: cell axis d is grid axis dim-1-d, and
+    # moving it last leaves the first transverse axis varying fastest.
+    grid = np.arange(o**dim).reshape((o,) * dim)
+    forward = np.stack(np.unravel_index(grid.ravel(), grid.shape)[::-1], axis=1)
+    lines = tuple(np.moveaxis(grid, dim - 1 - d, -1).reshape(-1, o) for d in range(dim))
     return TensorPermutation(basis.degree, dim, forward, lines)

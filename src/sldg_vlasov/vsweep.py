@@ -191,7 +191,7 @@ class _SharedCells:
 
     entries: slice            # their shared entries, k consecutive ones per cell
     restrict: np.ndarray      # (n_cells, lines, k*lines): the k entry restrictions side by side
-    rows: np.ndarray          # (n_cells*o^3,) DOF ids of the cells, in line layout
+    rows: np.ndarray          # (n_cells*o^dim,) DOF ids of the cells, in line layout
 
 
 @dataclass
@@ -199,7 +199,7 @@ class SweepPlan:
     """Static pack / sweep / write-back layout for one direction of a mesh.
 
     A velocity column is packed into a vector of n_packed entries: the
-    column itself, followed by o^3 values per shared entry (an entry of a
+    column itself, followed by o^dim values per shared entry (an entry of a
     cell that lies in several pencils), in the cell's line layout.  A
     shared entry holds the cell's polynomial prolonged to the GLL nodes of
     its pencil's transverse rectangle.  Every packed position except the
@@ -217,7 +217,7 @@ class SweepPlan:
     n_levels: int
     n_dofs: int
     groups: list
-    src_rows: np.ndarray      # (n_shared*o^3,) DOF ids of each shared entry's cell
+    src_rows: np.ndarray      # (n_shared*o^dim,) DOF ids of each shared entry's cell
     prolong: np.ndarray       # (n_shared, lines, lines) transverse prolongation
     shared: tuple             # _SharedCells, one per pencil count
 
@@ -282,20 +282,18 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
     slot[shared] = np.arange(n_shared)
     cells = pset.cell_ids[shared]
 
-    prolong = np.empty((n_shared, n_tl, n_tl))
-    restrict = np.empty((n_shared, n_tl, n_tl))
-    if n_shared:
-        tol = 1e-9 * mesh.base_width
-        pencil_of = np.repeat(np.arange(pset.n_pencils), np.diff(pset.offsets))[shared]
-        t_dims = [t for t in range(mesh.dim) if t != pset.direction]
-        (p1, r1), (p2, r2) = (
-            _transfer_1d(basis, pset.t_lowers[pencil_of, a], pset.t_widths[pencil_of, a],
-                         mesh.lo[cells, t], mesh.width[cells, t], tol)
-            for a, t in enumerate(t_dims)
-        )
-        # Line t = t1 + o*t2 runs along transverse nodes (t1, t2).
-        prolong[:] = np.einsum("eac,ebd->eabcd", p2, p1).reshape(n_shared, n_tl, n_tl)
-        restrict[:] = np.einsum("eac,ebd->eabcd", r2, r1).reshape(n_shared, n_tl, n_tl)
+    prolong = np.ones((n_shared, n_tl, n_tl))
+    restrict = np.ones((n_shared, n_tl, n_tl))
+    tol = 1e-9 * mesh.base_width
+    pencil_of = np.repeat(np.arange(pset.n_pencils), np.diff(pset.offsets))[shared]
+    t_dims = [t for t in range(mesh.dim) if t != pset.direction]
+    for a, t in enumerate(t_dims):
+        p1, r1 = _transfer_1d(basis, pset.t_lowers[pencil_of, a], pset.t_widths[pencil_of, a],
+                              mesh.lo[cells, t], mesh.width[cells, t], tol)
+        # Each line's node on axis t, as the tensor layout places it.
+        node = perm.forward[lines[:, 0], t]
+        prolong *= p1[:, node[:, None], node]
+        restrict *= r1[:, node[:, None], node]
 
     shared_cells = []
     start = 0
@@ -366,11 +364,11 @@ def pack_columns(f, cols: slice, plan: SweepPlan) -> np.ndarray:
     """
     n_shared, n_tl, _ = plan.prolong.shape
     block = f[:, cols]
-    out = np.empty((plan.n_packed, block.shape[1]))
+    n_cols = block.shape[1]
+    out = np.empty((plan.n_packed, n_cols))
     out[: plan.n_dofs] = block
-    if n_shared:
-        src = f[plan.src_rows, cols].reshape(n_shared, n_tl, -1)
-        out[plan.n_dofs :] = (plan.prolong @ src).reshape(-1, block.shape[1])
+    src = f[plan.src_rows, cols].reshape(n_shared, n_tl, plan.basis.n_nodes * n_cols)
+    out[plan.n_dofs :] = (plan.prolong @ src).reshape(-1, n_cols)
     return out
 
 
@@ -382,12 +380,12 @@ def write_back(f, cols: slice, packed, plan: SweepPlan) -> None:
     piecewise pencil results onto its transverse basis.
     """
     n_cols = packed.shape[1]
+    n_shared, n_tl, _ = plan.prolong.shape
     f[:, cols] = packed[: plan.n_dofs]
-    if plan.shared:
-        res = packed[plan.n_dofs :].reshape(len(plan.prolong), plan.prolong.shape[1], -1)
-        for sc in plan.shared:
-            part = res[sc.entries].reshape(len(sc.restrict), sc.restrict.shape[2], -1)
-            f[sc.rows, cols] = (sc.restrict @ part).reshape(-1, n_cols)
+    res = packed[plan.n_dofs :].reshape(n_shared, n_tl, plan.basis.n_nodes * n_cols)
+    for sc in plan.shared:
+        part = res[sc.entries].reshape(len(sc.restrict), sc.restrict.shape[2], -1)
+        f[sc.rows, cols] = (sc.restrict @ part).reshape(-1, n_cols)
 
 
 # Columns are swept this many at a time: the transfer products and the

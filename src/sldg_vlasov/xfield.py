@@ -157,13 +157,11 @@ class PoissonSolver:
         lumped = np.zeros(n_nodes)
         np.add.at(lumped, self.conn.ravel(),
                   np.tile(0.5 * xgrid.h * basis.weights, xgrid.n_cells))
-        self._lumped = lumped
 
         aug = np.zeros((n_nodes + 1, n_nodes + 1))
         aug[:n_nodes, :n_nodes] = k
         aug[:n_nodes, n_nodes] = lumped
         aug[n_nodes, :n_nodes] = lumped
-        self._stiffness = k
         self._lu = lu_factor(aug)
 
     def rhs(self, rho):
@@ -183,10 +181,6 @@ class PoissonSolver:
         # stops the run with a step index instead of a bare linear-algebra error.
         sol = lu_solve(self._lu, b, check_finite=False)
         return sol[: self.n_nodes]
-
-    def residual(self, phi, rho):
-        """Discrete weak residual K phi - b (diagnostic for tests)."""
-        return self._stiffness @ phi - self.rhs(rho)
 
     def electric_field(self, phi):
         """E = -phi' sampled at the DG GLL nodes, one value per x DOF.

@@ -41,3 +41,25 @@ def projection_oracle(values, displacement: float, width: float, basis, bc: str 
                 rhs += (2.0 / width) * ((wts * src_vals) @ dest)
         out[i] = basis.mass_inv @ rhs
     return out
+
+
+def peak_indices_loop(values) -> list:
+    """Reference for driver._peak_indices: a scan over the series.
+
+    Strict three-point local maxima; a plateau counts once, at its first
+    index, when the values on both sides of it are lower.
+    """
+    peaks = []
+    n = len(values)
+    i = 1
+    while i < n - 1:
+        if values[i] > values[i - 1]:
+            j = i
+            while j < n - 1 and values[j + 1] == values[i]:
+                j += 1
+            if j < n - 1 and values[j + 1] < values[i]:
+                peaks.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return peaks

@@ -159,8 +159,8 @@ def test_criterion_7_long_time_conservation():
     # tail at ~1e-8 per unit time, see the decisions ledger).
     res = run(SimConfig(dim=3, n_base=4, levels=1, degree=3, n_steps=1000,
                         bc="periodic"))
-    t = res.column("t")
-    etot = res.column("e_total")
+    t = np.array([r.t for r in res.records])
+    etot = np.array([r.e_total for r in res.records])
     drift = np.abs(etot - etot[0]) / abs(etot[0])
     # Secular growth: the late drift may not outgrow the early drift; the
     # two windows are disjoint, so a steadily growing drift fails.

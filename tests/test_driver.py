@@ -8,6 +8,7 @@ from sldg_vlasov.driver import (
     LANDAU_RATE_K05,
     SimConfig,
     Simulation,
+    _peak_indices,
     fit_damping_rate,
     moments,
     run,
@@ -17,6 +18,8 @@ from sldg_vlasov.driver import (
 )
 from sldg_vlasov.vsweep import advect_velocity
 from sldg_vlasov.xfield import advect_x
+
+from oracle import peak_indices_loop
 
 
 def small_config(**kw):
@@ -241,6 +244,17 @@ def test_fit_plateau_breaks_to_earlier_index():
     y = np.array([0.0, 1.0, 1.0, 0.5, 0.8, 0.2, 0.1, 0.0])
     fit = fit_damping_rate(t, y)
     np.testing.assert_array_equal(fit.peak_times[:1], [1.0])
+
+
+def test_peak_indices_match_loop():
+    # Short series of small integers have plateaus everywhere, at the ends
+    # too; NaN compares false both ways and inf ties with itself.
+    rng = np.random.default_rng(89)
+    for _ in range(2000):
+        v = rng.integers(0, 5, size=rng.integers(0, 25)).astype(float)
+        v[rng.random(v.size) < 0.05] = np.nan
+        v[rng.random(v.size) < 0.05] = np.inf
+        np.testing.assert_array_equal(_peak_indices(v), peak_indices_loop(v), err_msg=str(v))
 
 
 def test_fit_short_series():

@@ -123,6 +123,8 @@ def test_classify_single_cell_pencil():
         widths=pset.widths[:1],
         levels=pset.levels[:1],
         weights=np.array([1.0]),
+        t_lowers=np.empty((1, 0)),
+        t_widths=np.empty((1, 0)),
     )
     single = classify_conforming(single)
     assert not single.conforming.any()

@@ -278,6 +278,7 @@ def test_sweep_fast_window_edges(bc, n_shift):
     pset = classify_conforming(PencilSet(
         direction=0, n_pencils=1, offsets=np.array([0, 7]), cell_ids=np.arange(7),
         lowers=lowers, widths=widths, levels=levels, weights=np.ones(7),
+        t_lowers=np.empty((1, 0)), t_widths=np.empty((1, 0)),
     ))
     assert pset.conforming.tolist() == [False, False, False, True, False, False, False]
     dt = 0.1
@@ -298,6 +299,7 @@ def _one_pencil(widths, levels):
     pset = classify_conforming(PencilSet(
         direction=0, n_pencils=1, offsets=np.array([0, n]), cell_ids=np.arange(n),
         lowers=lowers, widths=widths, levels=levels, weights=np.ones(n),
+        t_lowers=np.empty((1, 0)), t_widths=np.empty((1, 0)),
     ))
     return lowers, pset.conforming
 
