@@ -154,10 +154,14 @@ def maxwellian(vcoords, dim: int) -> np.ndarray:
 
 
 def sample_initial(config: SimConfig, vcoords, xcoords) -> np.ndarray:
-    """Perturbed Maxwellian sampled at every (velocity DOF, x DOF) pair."""
+    """Perturbed Maxwellian sampled at every (velocity DOF, x DOF) pair.
+
+    The samples are stored x-major: the result, shaped (n_velocity_dofs,
+    n_x_dofs), is the transpose view of a C-contiguous array.
+    """
     gv = maxwellian(vcoords, config.dim)
     gx = 1.0 + config.perturbation * np.cos(config.wave_number * np.asarray(xcoords))
-    return gv[:, None] * gx[None, :]
+    return (gx[:, None] * gv[None, :]).T
 
 
 def moments(f, velocity_weights, vcoords, x_weights):
@@ -212,7 +216,15 @@ def fit_damping_rate(times, values) -> DampingFit:
 
 
 class Simulation:
-    """Owns the discrete state and advances it with Strang splitting."""
+    """Owns the discrete state and advances it with Strang splitting.
+
+    `f` is shaped (n_velocity_dofs, n_x_dofs), with velocity rows in the
+    sweep plan's order (row r holds cell-local DOF sweep_plan.order[r];
+    `vcoords` and `vweights` follow it).  It is the transpose view of a
+    C-contiguous (n_x_dofs, n_velocity_dofs) array, so each x DOF's
+    velocity values are contiguous for the velocity sweep and each run of
+    equal-speed rows is a contiguous block for the x-advection.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config.validate()
@@ -223,8 +235,9 @@ class Simulation:
         pset = classify_conforming(extract_pencils(self.mesh, 0))
         self.sweep_plan = build_sweep_plan(self.mesh, pset, self.perm, self.basis)
         self.xgrid = XGrid(c.n_x, c.degree_x, c.length)
-        self.vcoords = velocity_dof_coords(self.mesh, self.basis, self.perm)
-        self.vweights = velocity_dof_weights(self.mesh, self.basis, self.perm)
+        order = self.sweep_plan.order
+        self.vcoords = velocity_dof_coords(self.mesh, self.basis, self.perm)[order]
+        self.vweights = velocity_dof_weights(self.mesh, self.basis, self.perm)[order]
         self.x_plan = precompute_x_matrices(self.xgrid, self.vcoords[:, 0], 0.5 * c.dt)
         self.x_plan_full = rescale_x_plan(self.xgrid, self.x_plan, c.dt)
         self.x_pending = False  # trailing half x-step of the last step not yet applied

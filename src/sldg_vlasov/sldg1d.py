@@ -127,15 +127,25 @@ def overlap_pair(basis: DGBasis, frac) -> OverlapPair:
 
 
 def apply_update(values, decomp: ShiftDecomposition, pair: OverlapPair):
-    """One periodic SLDG advection step on a uniform pencil.
+    """One periodic SLDG advection step on a uniform pencil, in place.
 
-    `values` has shape (..., n_cells, p+1); destination cell i draws from
-    source cells i - n_shift and i - n_shift - 1 only, wrapped modulo the
-    pencil length.
+    `values` is a float array shaped (..., n_cells, p+1, n_lines), updated
+    alike for each trailing line: destination cell i draws from source
+    cells i - n_shift and i - n_shift - 1 only, wrapped modulo the pencil
+    length.  Returns `values`.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim < 2:
-        raise ValueError("expected pencil values of shape (..., n_cells, p+1)")
-    src_same = np.roll(values, decomp.n_shift, axis=-2)
-    src_nb = np.roll(values, decomp.n_shift + 1, axis=-2)
-    return src_same @ pair.same.T + src_nb @ pair.neighbor.T
+    if values.ndim < 3:
+        raise ValueError("expected pencil values of shape (..., n_cells, p+1, n_lines)")
+    # Both projections of every cell are taken before `values` is
+    # overwritten, then shifted into place: cell i takes `same` from cell
+    # i - n and `neighbor` from cell i - n - 1.
+    same, neighbor = pair.same @ values, pair.neighbor @ values
+    n = values.shape[-3]
+    dest, same, neighbor = (np.moveaxis(a, -3, 0) for a in (values, same, neighbor))
+    s = decomp.n_shift % n
+    dest[s:] = same[: n - s]
+    dest[:s] = same[n - s :]
+    s = (decomp.n_shift + 1) % n
+    dest[s:] += neighbor[: n - s]
+    dest[:s] += neighbor[n - s :]
+    return values

@@ -12,6 +12,11 @@ are L2-projected back onto its transverse basis and summed (weighted
 accumulation).  The restrictions of a cell's entries sum to the identity
 on its prolongations, so mass and every transverse moment of degree <= p
 are preserved.
+
+The plan also fixes the row order of the velocity DOFs: each group's rows
+run by sweep position, then by line, so for every x column a group whose
+cells lie in no other pencil is a contiguous (positions, lines) matrix
+that the operator multiplies in place.
 """
 from __future__ import annotations
 
@@ -166,15 +171,25 @@ def sweep_pencil(values, widths, speed, dt, bc, basis: DGBasis, force_slow: bool
     mesh = VelocityMesh(1, 0.5 * total, total / h0, levels, lowers[:, None], widths[:, None])
     pset = classify_conforming(extract_pencils(mesh, 0))
     plan = build_sweep_plan(mesh, pset, build_permutation(basis, 1), basis)
-    # An explicit copy: the transpose of a single line is already contiguous.
-    f = values.reshape(-1, n * o).T.copy()
-    advect_velocity(f, np.full(f.shape[1], float(speed)), dt, plan, bc, force_slow)
-    return f.T.reshape(values.shape)
+    # The lines become x columns of an x-major copy; a 1V plan keeps the
+    # cell-local row order.
+    lines = values.reshape(-1, n * o).copy()
+    advect_velocity(lines.T, np.full(len(lines), float(speed)), dt, plan, bc, force_slow)
+    return lines.reshape(values.shape)
 
 
 @dataclass
 class _PencilGroup:
-    """Pencils sharing an identical cell layout, batched into one update."""
+    """Pencils sharing an identical cell layout, batched into one update.
+
+    The group's working block has one row per sweep position k =
+    cell*(p+1) + node and one column per line, line = pencil*n_tl + t.
+    Slots whose cell lies in this pencil only live in f as slabs: a slab
+    (cells, pencils, rows, shape) holds the slots of a run of cells owned by
+    the same pencils, stored at `rows` position-major, shaped
+    (cells, p+1, pencils, n_tl) per x column.  The other slots are shared
+    entries, indexed into the sweep's entry buffer.
+    """
 
     lowers: np.ndarray
     widths: np.ndarray
@@ -182,7 +197,11 @@ class _PencilGroup:
     conforming: np.ndarray
     n_lines: int
     n_cells: int
-    gather: np.ndarray        # (n_lines, n_cells*(p+1)) positions in a packed column
+    rows: slice               # all of the group's owned rows
+    slabs: tuple
+    entries: np.ndarray       # (n_e,) shared entries in the group's slots ...
+    entry_cells: np.ndarray   # ... at these cell positions ...
+    entry_pencils: np.ndarray  # ... of these pencils
 
 
 @dataclass(frozen=True)
@@ -191,23 +210,24 @@ class _SharedCells:
 
     entries: slice            # their shared entries, k consecutive ones per cell
     restrict: np.ndarray      # (n_cells, lines, k*lines): the k entry restrictions side by side
-    rows: np.ndarray          # (n_cells*o^dim,) DOF ids of the cells, in line layout
+    cells: np.ndarray         # (n_cells,) their positions among the shared cells
 
 
 @dataclass
 class SweepPlan:
-    """Static pack / sweep / write-back layout for one direction of a mesh.
+    """Row order of the velocity DOFs and the sweep layout for one direction.
 
-    A velocity column is packed into a vector of n_packed entries: the
-    column itself, followed by o^dim values per shared entry (an entry of a
-    cell that lies in several pencils), in the cell's line layout.  A
-    shared entry holds the cell's polynomial prolonged to the GLL nodes of
-    its pencil's transverse rectangle.  Every packed position except the
-    shared cells' own DOFs belongs to exactly one pencil line, so a group
-    gathers its lines from the packed column and scatters its results back
-    to the same positions.  The write-back copies the single-pencil cells
-    and L2-projects the entries of each shared cell back onto its
-    transverse basis.
+    Row r of f holds cell-local DOF order[r] (cell*(p+1)^dim + local id).
+    Each pencil group owns a range of rows, its slabs, in which every run
+    of lines at one sweep position is contiguous, so equal-speed rows sit
+    together and a group with no shared cell sweeps its rows in place.
+    The rows of cells lying in several pencils (shared cells) come last,
+    in classes of cells with equal extent along the sweep axis: a class
+    stored at `rows` holds its cells' values shaped (p+1, cells, n_tl).
+    A shared entry (a shared cell in one of its pencils) holds the cell's
+    polynomial prolonged to the GLL nodes of that pencil's transverse
+    rectangle; after the sweep, the entries of each shared cell are
+    L2-projected back onto its transverse basis and summed.
     """
 
     direction: int
@@ -216,14 +236,16 @@ class SweepPlan:
     base_width: float
     n_levels: int
     n_dofs: int
+    order: np.ndarray
     groups: list
-    src_rows: np.ndarray      # (n_shared*o^dim,) DOF ids of each shared entry's cell
-    prolong: np.ndarray       # (n_shared, lines, lines) transverse prolongation
+    shared_classes: tuple     # (rows, positions) of each class of shared cells
+    entry_cells: np.ndarray   # (n_entries,) position of each entry's cell
+    prolong: np.ndarray       # (n_entries, lines, lines) transverse prolongation
     shared: tuple             # _SharedCells, one per pencil count
 
     @property
-    def n_packed(self) -> int:
-        return self.n_dofs + len(self.src_rows)
+    def n_shared_cells(self) -> int:
+        return self.shared_classes[-1][1].stop if self.shared_classes else 0
 
 
 def _transfer_1d(basis, sub_lo, sub_w, cell_lo, cell_w, tol):
@@ -250,18 +272,21 @@ def _transfer_1d(basis, sub_lo, sub_w, cell_lo, cell_w, tol):
 
 def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutation,
                      basis: DGBasis) -> SweepPlan:
-    """Group congruent pencils and precompute their packed gather indices.
+    """Group congruent pencils and order the velocity DOFs for the sweep.
 
     Pencils with identical cell layout (same coordinates, widths, levels)
     share their update operator for any speed, so their transverse lines
-    are batched into one matrix product per swept column.  Cells
-    lying in several pencils get per-entry transverse prolongation and
-    restriction matrices (Kronecker products of the 1D ones).  Raises
-    SweepError unless the pencil weights of every cell sum to one.
+    are batched into one matrix product per swept column.  Within a group
+    the pencils are sorted by which of their cells they own alone, so
+    owned slots form few slabs.  Cells lying in several pencils get
+    per-entry transverse prolongation and restriction matrices (Kronecker
+    products of the 1D ones).  Raises SweepError unless the pencil weights
+    of every cell sum to one.
     """
     o = basis.n_nodes
     n_local = perm.n_local
-    lines = perm.lines[pset.direction]
+    d = pset.direction
+    lines = perm.lines[d]
     n_tl = len(lines)
     n_dofs = mesh.n_cells * n_local
 
@@ -286,7 +311,7 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
     restrict = np.ones((n_shared, n_tl, n_tl))
     tol = 1e-9 * mesh.base_width
     pencil_of = np.repeat(np.arange(pset.n_pencils), np.diff(pset.offsets))[shared]
-    t_dims = [t for t in range(mesh.dim) if t != pset.direction]
+    t_dims = [t for t in range(mesh.dim) if t != d]
     for a, t in enumerate(t_dims):
         p1, r1 = _transfer_1d(basis, pset.t_lowers[pencil_of, a], pset.t_widths[pencil_of, a],
                               mesh.lo[cells, t], mesh.width[cells, t], tol)
@@ -294,6 +319,13 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
         node = perm.forward[lines[:, 0], t]
         prolong *= p1[:, node[:, None], node]
         restrict *= r1[:, node[:, None], node]
+
+    # Shared cells by extent along the sweep axis: a class of equal extents
+    # has equal speeds at each node.
+    ids = np.unique(cells)
+    ids = ids[np.lexsort((ids, mesh.width[ids, d], mesh.lo[ids, d]))]
+    position = np.zeros(mesh.n_cells, dtype=np.int64)
+    position[ids] = np.arange(len(ids))
 
     shared_cells = []
     start = 0
@@ -304,14 +336,9 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
             entries=slice(start, stop),
             restrict=restrict[start:stop].reshape(n_k, k, n_tl, n_tl)
             .transpose(0, 2, 1, 3).reshape(n_k, n_tl, k * n_tl),
-            rows=(cells[start:stop:k, None, None] * n_local + lines[None]).ravel(),
+            cells=position[cells[start:stop:k]],
         ))
         start = stop
-
-    # Packed position of every (entry, line, sweep node).
-    own = pset.cell_ids[:, None, None] * n_local + lines[None]
-    prolonged = n_dofs + slot[:, None, None] * (n_tl * o) + np.arange(n_tl * o).reshape(n_tl, o)
-    pos = np.where(slot[:, None, None] >= 0, prolonged, own)
 
     grouped: dict = {}
     for q in range(pset.n_pencils):
@@ -320,78 +347,120 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
                pset.widths[sl].tobytes())
         grouped.setdefault(key, []).append(q)
 
+    # Consecutive parts of the row order: cell-local DOF ids shaped
+    # (cells, p+1, pencils, n_tl) per slab, (p+1, cells, n_tl) per class.
+    order_parts = []
+    n_rows = 0
     groups = []
     for qs in grouped.values():
         sl0 = pset.pencil_slice(qs[0])
         n_cells = sl0.stop - sl0.start
-        entries = np.concatenate(
-            [np.arange(pset.offsets[q], pset.offsets[q + 1]) for q in qs]
-        ).reshape(len(qs), n_cells)
-        gather = pos[entries].transpose(0, 2, 1, 3).reshape(len(qs) * n_tl, n_cells * o)
+        entries = pset.offsets[qs][:, None] + np.arange(n_cells)
+        owned = slot[entries] < 0
+        by_mask = np.lexsort(owned.T[::-1])
+        entries, owned = entries[by_mask], owned[by_mask]
+        group_start = n_rows
+        slabs = []
+        # Slabs: runs of consecutive cells owned by the same pencils.
+        change = np.ones(n_cells, dtype=bool)
+        change[1:] = (owned[:, 1:] != owned[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(change).tolist()
+        for c0, c1 in zip(starts, starts[1:] + [n_cells]):
+            pencils = np.flatnonzero(owned[:, c0])
+            if not pencils.size:
+                continue
+            ids_q = pset.cell_ids[entries[pencils, c0:c1]].T
+            part = ids_q[:, None, :, None] * n_local + lines.T[None, :, None, :]
+            order_parts.append(part.ravel())
+            if pencils[-1] - pencils[0] + 1 == pencils.size:
+                pencils = slice(int(pencils[0]), int(pencils[-1]) + 1)
+            slabs.append((slice(c0, c1), pencils, slice(n_rows, n_rows + part.size),
+                          part.shape))
+            n_rows += part.size
+        eq, ec = np.nonzero(~owned)
         groups.append(
             _PencilGroup(
                 lowers=pset.lowers[sl0].copy(),
                 widths=pset.widths[sl0].copy(),
                 levels=pset.levels[sl0].copy(),
                 conforming=pset.conforming[sl0].copy(),
-                n_lines=gather.shape[0],
+                n_lines=len(qs) * n_tl,
                 n_cells=n_cells,
-                gather=gather,
+                rows=slice(group_start, n_rows),
+                slabs=tuple(slabs),
+                entries=slot[entries[eq, ec]],
+                entry_cells=ec,
+                entry_pencils=eq,
             )
         )
 
+    classes = []
+    extent = np.stack([mesh.lo[ids, d], mesh.width[ids, d]], axis=1)
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (extent[1:] != extent[:-1]).any(axis=1)
+    bounds = np.append(np.flatnonzero(first), len(ids))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        part = ids[None, a:b, None] * n_local + lines.T[:, None, :]
+        order_parts.append(part.ravel())
+        classes.append((slice(n_rows, n_rows + part.size), slice(int(a), int(b))))
+        n_rows += part.size
+
     return SweepPlan(
-        direction=pset.direction,
+        direction=d,
         basis=basis,
         radius=mesh.radius,
         base_width=mesh.base_width,
         n_levels=int(mesh.levels.max()) + 1,
         n_dofs=n_dofs,
+        order=np.concatenate(order_parts),
         groups=groups,
-        src_rows=own[shared].ravel(),
+        shared_classes=tuple(classes),
+        entry_cells=position[cells],
         prolong=prolong,
         shared=tuple(shared_cells),
     )
 
 
-def pack_columns(f, cols: slice, plan: SweepPlan) -> np.ndarray:
-    """Packed copies, shaped (plan.n_packed, n_cols), of the columns f[:, cols].
+def prolong_shared(block, plan: SweepPlan) -> np.ndarray:
+    """Shared entries of the block's columns, shaped (n_entries, lines, n_cols, p+1).
 
-    Each packed column is one column of the result, so the block keeps the
-    row layout of f.  The prolongation runs once for the whole block: a
-    batched product over shared entries with the columns folded into the
-    matrix width.
+    `block` is a C-contiguous (n_cols, n_dofs) block of x columns in plan
+    row order.  The prolongation runs once for the whole block: a batched
+    product over shared entries with the columns folded into the matrix
+    width.
     """
-    n_shared, n_tl, _ = plan.prolong.shape
-    block = f[:, cols]
-    n_cols = block.shape[1]
-    out = np.empty((plan.n_packed, n_cols))
-    out[: plan.n_dofs] = block
-    src = f[plan.src_rows, cols].reshape(n_shared, n_tl, plan.basis.n_nodes * n_cols)
-    out[plan.n_dofs :] = (plan.prolong @ src).reshape(-1, n_cols)
-    return out
+    n_cols = block.shape[0]
+    n_entries, n_tl, _ = plan.prolong.shape
+    o = plan.basis.n_nodes
+    values = np.empty((plan.n_shared_cells, n_tl, n_cols, o))
+    for rows, cells in plan.shared_classes:
+        values[cells] = block[:, rows].reshape(n_cols, o, -1, n_tl).transpose(2, 3, 0, 1)
+    src = values[plan.entry_cells].reshape(n_entries, n_tl, n_cols * o)
+    return (plan.prolong @ src).reshape(n_entries, n_tl, n_cols, o)
 
 
-def write_back(f, cols: slice, packed, plan: SweepPlan) -> None:
-    """Store packed columns (as from pack_columns) into f[:, cols].
+def restrict_shared(block, entries, plan: SweepPlan) -> None:
+    """Store each shared cell's restricted entries into its rows of `block`.
 
-    Cells lying in one pencil are copied bit for bit; each shared cell
-    receives the sum of its entries' restrictions, the L2 projection of its
-    piecewise pencil results onto its transverse basis.
+    Each shared cell receives the sum of its entries' restrictions, the L2
+    projection of its piecewise pencil results onto its transverse basis.
+    Rows of cells lying in one pencil are not touched.
     """
-    n_cols = packed.shape[1]
-    n_shared, n_tl, _ = plan.prolong.shape
-    f[:, cols] = packed[: plan.n_dofs]
-    res = packed[plan.n_dofs :].reshape(n_shared, n_tl, plan.basis.n_nodes * n_cols)
+    n_entries, n_tl, n_cols, o = entries.shape
+    values = np.empty((plan.n_shared_cells, n_tl, n_cols, o))
+    flat = entries.reshape(n_entries, n_tl, n_cols * o)
     for sc in plan.shared:
-        part = res[sc.entries].reshape(len(sc.restrict), sc.restrict.shape[2], -1)
-        f[sc.rows, cols] = (sc.restrict @ part).reshape(-1, n_cols)
+        part = flat[sc.entries].reshape(len(sc.cells), sc.restrict.shape[2], -1)
+        values[sc.cells] = (sc.restrict @ part).reshape(len(sc.cells), n_tl, n_cols, o)
+    for rows, cells in plan.shared_classes:
+        block[:, rows].reshape(n_cols, o, -1, n_tl)[...] = values[cells].transpose(2, 3, 0, 1)
 
 
 # Columns are swept this many at a time: the transfer products and the
-# operator assembly are batched over a block, and the packed copy stays a
-# few MB.
-_COLUMN_BLOCK = 16
+# operator assembly are batched over a block, and the working arrays stay a
+# few MB.  Of 8, 16, 32 and 64, 32 gave the fastest step on both benchmark
+# workloads without raising their peak memory.
+_COLUMN_BLOCK = 32
 
 
 def _column_blocks(cols):
@@ -401,17 +470,49 @@ def _column_blocks(cols):
             yield slice(b, min(b + _COLUMN_BLOCK, run[-1] + 1))
 
 
+def _sweep_block(block, speeds, dt, plan: SweepPlan, bc, force_slow):
+    """Sweep a C-contiguous (n_cols, n_dofs) block of x columns in place.
+
+    A group without shared cells multiplies a view of its rows.  Any other
+    group fills a working block from its slabs and its shared entries,
+    multiplies it, and stores the results back to the same places.
+    """
+    n_cols = block.shape[0]
+    o = plan.basis.n_nodes
+    n_tl = plan.prolong.shape[1]
+    lm = _level_matrices(plan.basis, speeds, dt, plan.base_width, plan.n_levels)
+    entries = prolong_shared(block, plan)
+    for g in plan.groups:
+        op = _pencil_operators(lm, speeds * dt, g, plan, bc, force_slow)
+        shape = (n_cols, g.n_cells * o, g.n_lines)
+        if not g.entries.size:
+            block[:, g.rows] = (op @ block[:, g.rows].reshape(shape)).reshape(n_cols, -1)
+            continue
+        work = np.empty(shape)
+        slots = work.reshape(n_cols, g.n_cells, o, -1, n_tl)
+        for cells, pencils, rows, slab in g.slabs:
+            slots[:, cells, :, pencils] = block[:, rows].reshape((n_cols,) + slab)
+        slots[:, g.entry_cells, :, g.entry_pencils] = entries[g.entries].transpose(0, 2, 3, 1)
+        out = (op @ work).reshape(slots.shape)
+        for cells, pencils, rows, slab in g.slabs:
+            block[:, rows] = out[:, cells, :, pencils].reshape(n_cols, -1)
+        entries[g.entries] = out[:, g.entry_cells, :, g.entry_pencils].transpose(0, 3, 1, 2)
+    restrict_shared(block, entries, plan)
+
+
 def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
                     force_slow: bool = False):
     """Advect every spatial column of the field along the plan's direction.
 
-    `f` is float64, shaped (n_velocity_dofs, n_x_dofs); column ix moves with
-    speed speeds[ix] of the 1-D `speeds`.  Columns with exactly zero speed
-    are skipped, leaving their bits untouched.  The moving columns go in
-    blocks of consecutive ones: each block is packed, every pencil group
+    `f` is float64, shaped (n_velocity_dofs, n_x_dofs) with rows in the
+    plan's order, in any memory order; column ix moves with speed
+    speeds[ix] of the 1-D `speeds`.  Columns with exactly zero speed are
+    skipped, leaving their bits untouched.  The moving columns go in blocks
+    of consecutive ones, each a C-contiguous (n_cols, n_dofs) block of f.T:
+    a view when f.T is C-contiguous, else a copy stored back afterwards,
+    so every memory order runs the same products.  Every pencil group
     assembles one operator per column and applies it to all of its lines
-    with one batched product, and the block is written back.  Updates f in
-    place and returns it.
+    with one batched product.  Updates f in place and returns it.
     """
     check_bc(bc)
     if getattr(f, "dtype", None) != np.float64:
@@ -426,12 +527,10 @@ def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
     cols = np.nonzero(speeds != 0.0)[0]
     if cols.size == 0:
         return f
-    for block in _column_blocks(cols):
-        packed = pack_columns(f, block, plan)
-        lm = _level_matrices(plan.basis, speeds[block], dt, plan.base_width, plan.n_levels)
-        for g in plan.groups:
-            op = _pencil_operators(lm, speeds[block] * dt, g, plan, bc, force_slow)
-            lines = packed[g.gather].transpose(2, 0, 1)
-            packed[g.gather] = (lines @ op.transpose(0, 2, 1)).transpose(1, 2, 0)
-        write_back(f, block, packed, plan)
+    ft = f.T
+    for cols in _column_blocks(cols):
+        block = np.ascontiguousarray(ft[cols])  # a view of f when f.T is C-contiguous
+        _sweep_block(block, speeds[cols], dt, plan, bc, force_slow)
+        if not ft.flags.c_contiguous:
+            ft[cols] = block
     return f

@@ -3,10 +3,11 @@
 The x-advection reuses the uniform-grid SLDG update with one precomputed
 overlap pair per distinct velocity-DOF speed and step length (speeds never
 change, so the pairs are built once before the time loop; a plan for a
-second step length reuses the first plan's speed groups).  The Poisson
-equation is discretized with continuous finite elements of the same degree
-on the same cells and solved directly with a zero-mean constraint to fix
-the periodic null space.
+second step length reuses the first plan's speed groups).  Each group's
+rows update as runs of consecutive rows, one contiguous block of the
+x-major field per run.  The Poisson equation is discretized with
+continuous finite elements of the same degree on the same cells and solved
+directly with a zero-mean constraint to fix the periodic null space.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ class XGrid:
 @dataclass(frozen=True)
 class _SpeedGroup:
     rows: np.ndarray
+    runs: tuple               # slices of consecutive rows covering `rows`
     speed: float
     decomp: ShiftDecomposition
     pair: OverlapPair
@@ -56,10 +58,21 @@ class _SpeedGroup:
 
 @dataclass(frozen=True)
 class XAdvectionPlan:
-    """Velocity-DOF rows grouped by advection speed, with their matrices."""
+    """Velocity-DOF rows grouped by advection speed, with their matrices.
+
+    Each group's rows go as runs of consecutive rows: a run is one
+    contiguous block of every x DOF's velocity values when f is stored
+    x-major.
+    """
 
     n_cells: int
     groups: tuple
+
+
+def _runs(rows) -> tuple:
+    """Slices of consecutive entries covering the sorted index array `rows`."""
+    cut = np.flatnonzero(np.diff(rows) != 1) + 1
+    return tuple(slice(int(r[0]), int(r[-1]) + 1) for r in np.split(rows, cut) if r.size)
 
 
 def _build_plan(xgrid: XGrid, rows, speeds, dt: float) -> XAdvectionPlan:
@@ -67,7 +80,7 @@ def _build_plan(xgrid: XGrid, rows, speeds, dt: float) -> XAdvectionPlan:
     d = decompose_shift(speeds, dt, xgrid.h)
     pair = overlap_pair(xgrid.basis, d.frac)
     groups = tuple(
-        _SpeedGroup(r, float(speeds[u]),
+        _SpeedGroup(r, _runs(r), float(speeds[u]),
                     ShiftDecomposition(int(d.n_shift[u]), float(d.frac[u])),
                     OverlapPair(pair.same[u], pair.neighbor[u]))
         for u, r in enumerate(rows)
@@ -101,28 +114,30 @@ def rescale_x_plan(xgrid: XGrid, plan: XAdvectionPlan, dt: float) -> XAdvectionP
     return _build_plan(xgrid, [g.rows for g in plan.groups], speeds, dt)
 
 
-def _advect_rows(f, group, n_cells):
+def _advect_rows(ft, group, n_cells):
     if group.decomp.n_shift == 0 and group.decomp.frac == 0.0:
         return
-    block = f[group.rows]
-    shape = block.shape
-    vals = block.reshape(len(group.rows), n_cells, -1)
-    f[group.rows] = apply_update(vals, group.decomp, group.pair).reshape(shape)
+    for run in group.runs:
+        block = ft[:, run].reshape(n_cells, -1, run.stop - run.start)
+        apply_update(block, group.decomp, group.pair)
 
 
 def advect_x(f, plan: XAdvectionPlan, workers: int = 1):
     """Apply the periodic SLDG x-update to every velocity DOF row of f.
 
-    Rows grouped by speed update together; zero-speed rows keep their bits.
-    Groups touch disjoint rows, so threading over them cannot change the
-    result.  Updates f in place and returns it.
+    `f` is shaped (n_velocity_dofs, n_x_dofs), in any memory order.  Each
+    run of equal-speed rows updates in place as one (n_cells, p+1, rows)
+    block of f.T; zero-speed rows keep their bits.  Groups touch disjoint
+    rows, so threading over them cannot change the result.  Updates f in
+    place and returns it.
     """
+    ft = f.T
     if workers <= 1:
         for g in plan.groups:
-            _advect_rows(f, g, plan.n_cells)
+            _advect_rows(ft, g, plan.n_cells)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda g: _advect_rows(f, g, plan.n_cells), plan.groups))
+            list(pool.map(lambda g: _advect_rows(ft, g, plan.n_cells), plan.groups))
     return f
 
 

