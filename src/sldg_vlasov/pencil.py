@@ -1,14 +1,17 @@
 """Per-direction pencil decomposition of the velocity mesh in CSR form.
 
 A pencil is a maximal gap-free run of cells sharing a transverse extent
-along one sweep axis.  Pencils are extracted in three steps: collect the
-unique transverse edge coordinates, form the Cartesian product of the
-resulting transverse intervals, then gather for each rectangle the cells
-covering it (a 1V mesh has one empty rectangle).  Each pencil records
-its transverse rectangle.  A coarse cell spanning several fine transverse
-intervals lands in several pencils; each entry's weight is the share of
-the cell's transverse area that the pencil's rectangle covers, so the
-weights of a cell sum to one.
+along one sweep axis: one pencil per distinct list of member cells.
+Pencils are extracted in three steps: collect the unique transverse edge
+coordinates, form the Cartesian product of the resulting transverse
+intervals and gather for each rectangle the cells covering it, then merge
+the rectangles covered by the same cells into one pencil (a 1V mesh has
+one empty rectangle).  A pencil's transverse rectangle is the
+intersection of its cells' transverse boxes, so a pencil of coarse cells
+is not cut at transverse edges of finer cells elsewhere in the mesh.  A
+coarse cell lies in several pencils only where a cell along its line is
+refined; each entry's weight is the share of the cell's transverse area
+that the pencil's rectangle covers, so the weights of a cell sum to one.
 """
 from __future__ import annotations
 
@@ -68,9 +71,14 @@ def _unique_edges(vals: np.ndarray, tol: float) -> np.ndarray:
 def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
     """Decompose the mesh into pencils along `direction`.
 
-    Raises PencilError when a pencil has a gap or overlap, naming the
-    pencil and the offending coordinate.  Conforming flags are left unset;
-    call classify_conforming afterwards.
+    Returns one pencil per distinct list of cells covering a rectangle of
+    the Cartesian product of transverse edges, ordered by its first such
+    rectangle (first transverse dimension varying fastest); its rectangle
+    is the intersection of its cells' transverse boxes, the union of the
+    rectangles it merges.  Raises PencilError when a rectangle is covered
+    by no cell or a pencil has a gap or overlap, naming the pencil and the
+    offending coordinate.  Conforming flags are left unset; call
+    classify_conforming afterwards.
     """
     if not 0 <= direction < mesh.dim:
         raise PencilError(f"direction must be in [0, {mesh.dim}), got {direction}")
@@ -83,20 +91,21 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
             np.concatenate([mesh.lo[:, t], mesh.lo[:, t] + mesh.width[:, t]]), tol
         )
         intervals.append(list(zip(edges[:-1], edges[1:])))
-    # Lexicographic pencil order: first transverse dimension varies fastest.
-    # A 1V mesh has one empty rectangle, so one pencil of every cell.
-    rects = [rect[::-1] for rect in itertools.product(*intervals[::-1])]
-    pencil_members = []
-    for q, rect in enumerate(rects):
+    # Rectangles of the Cartesian product of the intervals, in lexicographic
+    # order (first transverse dimension fastest), each mapped to the cells
+    # covering it.  Rectangles covered by the same cells make one pencil, in
+    # order of their first rectangle.  A 1V mesh has one empty rectangle,
+    # so one pencil of every cell.
+    pencil_members = {}
+    for q, rect in enumerate(itertools.product(*intervals[::-1])):
         covers = np.ones(mesh.n_cells, dtype=bool)
-        for t, (a, b) in zip(t_dims, rect):
+        for t, (a, b) in zip(t_dims, rect[::-1]):
             covers &= (mesh.lo[:, t] <= a + tol) & (mesh.lo[:, t] + mesh.width[:, t] >= b - tol)
         ids = np.nonzero(covers)[0]
         if ids.size == 0:
-            raise PencilError(f"pencil {q} in direction {direction} covers no cells")
-        pencil_members.append(ids)
-    t_lowers = np.array([[a for a, _ in rect] for rect in rects], dtype=float)
-    t_widths = np.array([[b - a for a, b in rect] for rect in rects], dtype=float)
+            raise PencilError(f"rectangle {q} in direction {direction} covers no cells")
+        pencil_members.setdefault(ids.tobytes(), ids)
+    pencil_members = list(pencil_members.values())
 
     offsets = [0]
     cell_ids = []
@@ -121,6 +130,12 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
         offsets.append(offsets[-1] + len(ids))
 
     cell_ids = np.concatenate(cell_ids)
+    # Each pencil's rectangle is the intersection of its cells' transverse
+    # boxes: the cells tile every line through it, so no other cell meets it.
+    box_lo = mesh.lo[cell_ids][:, t_dims]
+    box_hi = box_lo + mesh.width[cell_ids][:, t_dims]
+    t_lowers = np.maximum.reduceat(box_lo, offsets[:-1], axis=0)
+    t_widths = np.minimum.reduceat(box_hi, offsets[:-1], axis=0) - t_lowers
     pencil_of = np.repeat(np.arange(len(pencil_members)), np.diff(offsets))
     area_share = np.prod(t_widths[pencil_of] / mesh.width[cell_ids][:, t_dims], axis=1)
     counts = np.bincount(cell_ids, minlength=mesh.n_cells)

@@ -6,12 +6,14 @@ one batched product.  Conforming cells take their level's precomputed
 overlap pair at index offsets (the cost of the uniform-grid method);
 nonconforming cells at refinement boundaries take generalized overlap
 blocks against every source cell that intersects the foot interval.  A
-coarse cell appearing in several finer pencils enters each one prolonged
-to the GLL nodes of that pencil's transverse rectangle; its pencil results
-are L2-projected back onto its transverse basis and summed (weighted
+coarse cell lies in several pencils only when cells along its line are
+finer (see `pencil`).  It enters each of them prolonged to the GLL nodes
+of that pencil's transverse rectangle; its pencil results are
+L2-projected back onto its transverse basis and summed (weighted
 accumulation).  The restrictions of a cell's entries sum to the identity
 on its prolongations, so mass and every transverse moment of degree <= p
-are preserved.
+are preserved, and a pencil cut into congruent pieces would sweep to the
+same result: the transfers commute with a pencil's operator.
 
 The plan also fixes the row order of the velocity DOFs: each group's rows
 run by sweep position, then by line, so for every x column a group whose

@@ -1,7 +1,57 @@
-"""Brute-force reference for the uniform SLDG update, shared by the tests."""
+"""Brute-force references shared by the tests."""
+import itertools
+
 import numpy as np
 
+from sldg_vlasov.pencil import PencilSet
 from sldg_vlasov.sldg1d import PERIODIC, apply_update, check_bc
+
+
+def cartesian_pencils(mesh, direction: int) -> PencilSet:
+    """Reference for pencil.extract_pencils: one pencil per rectangle of the
+    Cartesian product of every transverse cell edge, with no merging.
+
+    A pencil of coarse cells is cut wherever any cell of the mesh has a
+    transverse edge, so its cells lie in several pencils, each entry
+    weighted by its rectangle's share of the cell's transverse area.
+    Rectangles are in lexicographic order, first transverse axis fastest;
+    a 1V mesh has one empty rectangle.  Conforming flags are left unset.
+    """
+    tol = 1e-9 * mesh.base_width
+    t_dims = [t for t in range(mesh.dim) if t != direction]
+    hi = mesh.lo + mesh.width
+    intervals = []
+    for t in t_dims:
+        # Edges closer than tol are one edge: coordinates that are not
+        # binary fractions of the cell width carry round-off.
+        edges = np.sort(np.concatenate([mesh.lo[:, t], hi[:, t]]))
+        edges = edges[np.append(True, np.diff(edges) > tol)]
+        intervals.append(list(zip(edges[:-1], edges[1:])))
+    rects = [rect[::-1] for rect in itertools.product(*intervals[::-1])]
+    members = []
+    for rect in rects:
+        covers = np.ones(mesh.n_cells, dtype=bool)
+        for t, (a, b) in zip(t_dims, rect):
+            covers &= (mesh.lo[:, t] <= a + tol) & (hi[:, t] >= b - tol)
+        ids = np.nonzero(covers)[0]
+        members.append(ids[np.argsort(mesh.lo[ids, direction])])
+    t_lowers = np.array([[a for a, _ in rect] for rect in rects]).reshape(len(rects), -1)
+    t_widths = np.array([[b - a for a, b in rect] for rect in rects]).reshape(len(rects), -1)
+    lengths = [len(ids) for ids in members]
+    cell_ids = np.concatenate(members)
+    pencil_of = np.repeat(np.arange(len(rects)), lengths)
+    return PencilSet(
+        direction=direction,
+        n_pencils=len(rects),
+        offsets=np.concatenate([[0], np.cumsum(lengths)]),
+        cell_ids=cell_ids,
+        lowers=mesh.lo[cell_ids, direction],
+        widths=mesh.width[cell_ids, direction],
+        levels=mesh.levels[cell_ids],
+        weights=np.prod(t_widths[pencil_of] / mesh.width[cell_ids][:, t_dims], axis=1),
+        t_lowers=t_lowers,
+        t_widths=t_widths,
+    )
 
 
 def apply_update_cells(values, decomp, pair):

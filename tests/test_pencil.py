@@ -26,12 +26,23 @@ def test_amr_pencil_structure():
     mesh = build_mesh(3, 4, 1, 6.0)
     pset = extract_pencils(mesh, 0)
     lengths = np.diff(pset.offsets)
-    # 6x6 transverse intervals: 16 pencils cross the refined block (6 cells),
-    # the remaining 20 see only coarse cells (4 cells).
-    assert pset.n_pencils == 36
+    # 4x4 columns of base cells.  The central 2x2 cross the refined block
+    # [-3, 3]^3, whose transverse edges split each into 2x2 pencils of 6
+    # cells.  The other 12 are whole pencils of 4 coarse cells: 4 corner
+    # columns, and 8 that border the block and contain one of its edges at
+    # +-1.5, which does not cut them: no cell of theirs is refined.
+    assert pset.n_pencils == 28
     assert sorted(set(lengths.tolist())) == [4, 6]
     assert (lengths == 6).sum() == 16
-    assert (lengths == 4).sum() == 20
+    coarse = lengths == 4
+    assert coarse.sum() == 12
+    assert (pset.levels[np.repeat(coarse, lengths)] == 0).all()
+    assert (pset.weights[np.repeat(coarse, lengths)] == 1.0).all()
+    np.testing.assert_array_equal(pset.t_widths[coarse], 3.0)
+    lo = pset.t_lowers[coarse]
+    holds_edge = ((lo < -1.5) & (lo + 3.0 > -1.5)) | ((lo < 1.5) & (lo + 3.0 > 1.5))
+    assert (holds_edge.sum(axis=1) == 1).sum() == 8
+    assert (holds_edge.sum(axis=1) == 0).sum() == 4
 
 
 def test_amr_coarse_cells_weighted_quarter():

@@ -2,13 +2,14 @@
 
 `build_mesh` refines symmetrically around the origin, so its coarse cells
 lie in 1 or 4 pencils of a direction.  Refining random cells instead gives
-asymmetric meshes whose coarse cells are split along one transverse axis
-(2 pencils), both (4), or by finer cells further along the pencil (up to
-16), swept here along every axis.
+asymmetric meshes, swept here along every axis.  A pencil is cut only
+where one of its cells is refined, into 2x2 quarters, so a coarse cell lies
+in 1 pencil, in 4, or in up to 16 where cells further along its pencil are
+finer still.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sldg_vlasov.basis import DGBasis
@@ -17,6 +18,8 @@ from sldg_vlasov.pencil import classify_conforming, extract_pencils
 from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import VelocityMesh, _balance_violators, _refine, build_mesh
 from sldg_vlasov.vsweep import advect_velocity, build_sweep_plan
+
+from oracle import cartesian_pencils
 
 
 def random_balanced_mesh(rng) -> VelocityMesh:
@@ -97,13 +100,13 @@ def test_transfer_matches_tensor_basis(direction):
     # Each shared entry's prolongation evaluates the cell's tensor basis at
     # the GLL nodes of the entry's transverse rectangle.  Shared entries
     # are ordered by their cell's pencil count, then by cell.  This mesh has
-    # cells in 2, 4 and more pencils along every axis.
+    # cells in 4 and in 13 pencils along every axis.
     mesh = random_balanced_mesh(np.random.default_rng(9))
     basis, perm, pset, plan = _plan(mesh, 2, direction)
     counts = np.bincount(pset.cell_ids)
     shared = np.nonzero(counts[pset.cell_ids] > 1)[0]
     shared = shared[np.lexsort((shared, pset.cell_ids[shared], counts[pset.cell_ids[shared]]))]
-    assert {2, 4} < set(counts[pset.cell_ids[shared]])
+    assert {4, 13} <= set(counts[pset.cell_ids[shared]])
     cells = pset.cell_ids[shared]
     # The shared classes' rows hold their cells' DOFs shaped (p+1, cells, n_tl).
     cell_at = np.concatenate([plan.order[rows].reshape(basis.n_nodes, -1, len(perm.lines[0]))
@@ -125,3 +128,62 @@ def test_transfer_matches_tensor_basis(direction):
         for d in range(3):
             expect *= basis.eval_all(ref[:, d])[:, perm.forward[lines[:, 0], d]]
         assert np.abs(plan.prolong[e] - expect).max() <= 1e-14, e
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=9, direction=0)
+@given(seed=st.integers(0, 2**32 - 1), direction=st.integers(0, 2))
+def test_merged_pencils_are_distinct_and_tile(seed, direction):
+    mesh = random_balanced_mesh(np.random.default_rng(seed))
+    pset = extract_pencils(mesh, direction)
+    members = [pset.cell_ids[pset.pencil_slice(q)] for q in range(pset.n_pencils)]
+    assert len({ids.tobytes() for ids in members}) == pset.n_pencils
+    # Each rectangle is the intersection of its cells' transverse boxes.
+    t_dims = [t for t in range(3) if t != direction]
+    lo = mesh.lo[:, t_dims]
+    hi = lo + mesh.width[:, t_dims]
+    for q, ids in enumerate(members):
+        assert np.array_equal(pset.t_lowers[q], lo[ids].max(axis=0)), q
+        assert np.array_equal(pset.t_widths[q], hi[ids].min(axis=0) - lo[ids].max(axis=0)), q
+    # The rectangles lie in the transverse square, no two overlap, and their
+    # areas add up to the square's: they tile it exactly once.
+    a, b = pset.t_lowers, pset.t_lowers + pset.t_widths
+    assert (pset.t_widths > 0).all()
+    assert (a >= -mesh.radius).all() and (b <= mesh.radius).all()
+    overlap = np.prod(np.clip(np.minimum(b[:, None], b[None]) - np.maximum(a[:, None], a[None]),
+                              0.0, None), axis=2)
+    np.fill_diagonal(overlap, 0.0)
+    assert (overlap == 0.0).all()
+    assert abs(pset.t_widths.prod(axis=1).sum() - (2.0 * mesh.radius) ** 2) <= 1e-12
+    # Every rectangle of the Cartesian product of the transverse edges lies
+    # in the one pencil made of exactly its covering cells.
+    ref = cartesian_pencils(mesh, direction)
+    for r in range(ref.n_pencils):
+        inside = np.nonzero((a <= ref.t_lowers[r]).all(axis=1)
+                            & (b >= ref.t_lowers[r] + ref.t_widths[r]).all(axis=1))[0]
+        assert len(inside) == 1, r
+        np.testing.assert_array_equal(members[inside[0]], ref.cell_ids[ref.pencil_slice(r)])
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=9, degree=2, direction=1, bc="periodic")
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 3),
+       direction=st.integers(0, 2), bc=st.sampled_from(["absorbing", "periodic"]))
+def test_merged_sweep_matches_cartesian_oracle(seed, degree, direction, bc):
+    # Merging congruent pieces of a pencil changes only round-off: the
+    # transverse transfers commute with the sweep, and each cell's
+    # restrictions undo its prolongations.
+    rng = np.random.default_rng(seed)
+    mesh = random_balanced_mesh(rng)
+    basis, perm, pset, plan = _plan(mesh, degree, direction)
+    ref = build_sweep_plan(mesh, classify_conforming(cartesian_pencils(mesh, direction)),
+                           perm, basis)
+    assert len(plan.entry_cells) <= len(ref.entry_cells)
+    speeds = np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-60.0, 60.0, 2)])
+    f = rng.random((plan.n_dofs, speeds.size))  # cell-local row order
+    swept = []
+    for p in (plan, ref):
+        out = np.empty_like(f)
+        out[p.order] = advect_velocity(f[p.order], speeds, 0.1, p, bc=bc)
+        swept.append(out)
+    assert np.abs(swept[0] - swept[1]).max() <= 1e-13 * np.abs(f).max()
