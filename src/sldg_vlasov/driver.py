@@ -88,6 +88,8 @@ class SimConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.perturbation < 1:
             raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation}")
+        if not isinstance(self.force_slow, (bool, np.bool_)):
+            raise ValueError(f"force_slow must be a bool, got {self.force_slow!r}")
         return self
 
     @property

@@ -28,6 +28,12 @@ def check_bc(bc: str) -> str:
     return bc
 
 
+def index_runs(indices) -> tuple:
+    """Slices of consecutive entries covering the sorted index array `indices`."""
+    cut = np.flatnonzero(np.diff(indices) != 1) + 1
+    return tuple(slice(int(r[0]), int(r[-1]) + 1) for r in np.split(indices, cut) if r.size)
+
+
 @dataclass(frozen=True)
 class ShiftDecomposition:
     """Displacement measured in cell widths, split into integer + fractional parts."""

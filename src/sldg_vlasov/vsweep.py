@@ -18,7 +18,11 @@ same result: the transfers commute with a pencil's operator.
 The plan also fixes the row order of the velocity DOFs: each group's rows
 run by sweep position, then by line, so for every x column a group whose
 cells lie in no other pencil is a contiguous (positions, lines) matrix
-that the operator multiplies in place.
+that the operator multiplies in place.  Sharing is part of a group's
+layout: all of its pencils share the cells at the same positions.  Shared
+cells keep one order, by pencil count, then extent along the sweep axis,
+so each class of equal count and extent prolongs and restricts its cells
+with one batched product.
 """
 from __future__ import annotations
 
@@ -28,7 +32,8 @@ import numpy as np
 
 from .basis import DGBasis
 from .pencil import CONFORMING_RADIUS, PencilSet, classify_conforming, extract_pencils
-from .sldg1d import ABSORBING, PERIODIC, check_bc, decompose_shift, overlap_blocks, overlap_pair
+from .sldg1d import (ABSORBING, PERIODIC, check_bc, decompose_shift, index_runs, overlap_blocks,
+                     overlap_pair)
 from .sldg1d import apply_update  # noqa: F401 - the traced benchmark wraps vsweep.apply_update
 from .tensor import TensorPermutation, build_permutation
 from .vmesh import VelocityMesh
@@ -182,15 +187,16 @@ def sweep_pencil(values, widths, speed, dt, bc, basis: DGBasis, force_slow: bool
 
 @dataclass
 class _PencilGroup:
-    """Pencils sharing an identical cell layout, batched into one update.
+    """Pencils with identical cell layout and sharing mask, batched into one update.
 
     The group's working block has one row per sweep position k =
     cell*(p+1) + node and one column per line, line = pencil*n_tl + t.
-    Slots whose cell lies in this pencil only live in f as slabs: a slab
-    (cells, pencils, rows, shape) holds the slots of a run of cells owned by
-    the same pencils, stored at `rows` position-major, shaped
-    (cells, p+1, pencils, n_tl) per x column.  The other slots are shared
-    entries, indexed into the sweep's entry buffer.
+    Every pencil of a group lies alone in the cells at the same positions
+    (owned) and shares the cells at the others.  Owned positions go as
+    runs of consecutive positions: a run (positions, rows) covers working
+    rows `positions` and is stored in f at `rows`, shaped (cells, p+1,
+    lines) per x column.  Shared positions hold shared entries, indexed
+    into the sweep's entry buffer.
     """
 
     lowers: np.ndarray
@@ -200,19 +206,19 @@ class _PencilGroup:
     n_lines: int
     n_cells: int
     rows: slice               # all of the group's owned rows
-    slabs: tuple
-    entries: np.ndarray       # (n_e,) shared entries in the group's slots ...
-    entry_cells: np.ndarray   # ... at these cell positions ...
-    entry_pencils: np.ndarray  # ... of these pencils
+    runs: tuple
+    shared: np.ndarray        # (n_s,) cell positions of the shared entries ...
+    entries: np.ndarray       # ... (n_s, pencils) their indices in the entry buffer
 
 
 @dataclass(frozen=True)
-class _SharedCells:
-    """Shared cells lying in the same number k of pencils."""
+class _SharedClass:
+    """Shared cells lying in the same number k of pencils, with equal extent."""
 
+    rows: slice               # their values, shaped (p+1, cells, n_tl) per x column
     entries: slice            # their shared entries, k consecutive ones per cell
-    restrict: np.ndarray      # (n_cells, lines, k*lines): the k entry restrictions side by side
-    cells: np.ndarray         # (n_cells,) their positions among the shared cells
+    prolong: np.ndarray       # (cells, k, n_tl, n_tl) transverse prolongations
+    restrict: np.ndarray      # (cells, n_tl, k*n_tl): the k entry restrictions side by side
 
 
 @dataclass
@@ -220,13 +226,13 @@ class SweepPlan:
     """Row order of the velocity DOFs and the sweep layout for one direction.
 
     Row r of f holds cell-local DOF order[r] (cell*(p+1)^dim + local id).
-    Each pencil group owns a range of rows, its slabs, in which every run
+    Each pencil group owns a range of rows, its runs, in which every run
     of lines at one sweep position is contiguous, so equal-speed rows sit
     together and a group with no shared cell sweeps its rows in place.
     The rows of cells lying in several pencils (shared cells) come last,
-    in classes of cells with equal extent along the sweep axis: a class
-    stored at `rows` holds its cells' values shaped (p+1, cells, n_tl).
-    A shared entry (a shared cell in one of its pencils) holds the cell's
+    ordered by pencil count, then extent along the sweep axis, then id,
+    in classes of equal count and extent (equal speeds at each node).  A
+    shared entry (a shared cell in one of its pencils) holds the cell's
     polynomial prolonged to the GLL nodes of that pencil's transverse
     rectangle; after the sweep, the entries of each shared cell are
     L2-projected back onto its transverse basis and summed.
@@ -238,16 +244,11 @@ class SweepPlan:
     base_width: float
     n_levels: int
     n_dofs: int
+    n_tl: int                 # transverse lines per pencil
+    n_entries: int
     order: np.ndarray
     groups: list
-    shared_classes: tuple     # (rows, positions) of each class of shared cells
-    entry_cells: np.ndarray   # (n_entries,) position of each entry's cell
-    prolong: np.ndarray       # (n_entries, lines, lines) transverse prolongation
-    shared: tuple             # _SharedCells, one per pencil count
-
-    @property
-    def n_shared_cells(self) -> int:
-        return self.shared_classes[-1][1].stop if self.shared_classes else 0
+    shared: tuple             # _SharedClass, in row and entry order
 
 
 def _transfer_1d(basis, sub_lo, sub_w, cell_lo, cell_w, tol):
@@ -277,14 +278,21 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
     """Group congruent pencils and order the velocity DOFs for the sweep.
 
     Pencils with identical cell layout (same coordinates, widths, levels)
-    share their update operator for any speed, so their transverse lines
-    are batched into one matrix product per swept column.  Within a group
-    the pencils are sorted by which of their cells they own alone, so
-    owned slots form few slabs.  Cells lying in several pencils get
-    per-entry transverse prolongation and restriction matrices (Kronecker
-    products of the 1D ones).  Raises SweepError unless the pencil weights
-    of every cell sum to one.
+    and the same sharing mask share their update operator for any speed,
+    so their transverse lines are batched into one matrix product per
+    swept column.  Cells lying in several pencils get per-entry transverse
+    prolongation and restriction matrices (Kronecker products of the 1D
+    ones).  Raises SweepError when the permutation or the pencils do not
+    fit the mesh and basis, or unless the pencil weights of every cell sum
+    to one.
     """
+    if perm.dim != mesh.dim:
+        raise SweepError(f"tensor permutation has dim {perm.dim}, the mesh has dim {mesh.dim}")
+    if perm.degree != basis.degree:
+        raise SweepError(f"tensor permutation has degree {perm.degree}, "
+                         f"the basis has degree {basis.degree}")
+    if pset.conforming is None:
+        raise SweepError("pencil set has no conforming flags: call classify_conforming first")
     o = basis.n_nodes
     n_local = perm.n_local
     d = pset.direction
@@ -301,9 +309,12 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
             f"with total weight {wsum[c]:.6g}, expected 1"
         )
 
-    counts = np.bincount(pset.cell_ids, minlength=mesh.n_cells)
-    shared = np.nonzero(counts[pset.cell_ids] > 1)[0]
-    shared = shared[np.lexsort((pset.cell_ids[shared], counts[pset.cell_ids[shared]]))]
+    # Shared entries by pencil count, extent along the sweep axis, cell id
+    # and pencil (lexsort is stable): a cell's entries follow one another.
+    count = np.bincount(pset.cell_ids, minlength=mesh.n_cells)[pset.cell_ids]
+    shared = np.nonzero(count > 1)[0]
+    cells = pset.cell_ids[shared]
+    shared = shared[np.lexsort((cells, mesh.width[cells, d], mesh.lo[cells, d], count[shared]))]
     n_shared = len(shared)
     slot = np.full(len(pset.cell_ids), -1, dtype=np.int64)
     slot[shared] = np.arange(n_shared)
@@ -322,35 +333,15 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
         prolong *= p1[:, node[:, None], node]
         restrict *= r1[:, node[:, None], node]
 
-    # Shared cells by extent along the sweep axis: a class of equal extents
-    # has equal speeds at each node.
-    ids = np.unique(cells)
-    ids = ids[np.lexsort((ids, mesh.width[ids, d], mesh.lo[ids, d]))]
-    position = np.zeros(mesh.n_cells, dtype=np.int64)
-    position[ids] = np.arange(len(ids))
-
-    shared_cells = []
-    start = 0
-    for k in np.unique(counts[cells]):
-        n_k = int((counts[cells] == k).sum()) // k
-        stop = start + n_k * k
-        shared_cells.append(_SharedCells(
-            entries=slice(start, stop),
-            restrict=restrict[start:stop].reshape(n_k, k, n_tl, n_tl)
-            .transpose(0, 2, 1, 3).reshape(n_k, n_tl, k * n_tl),
-            cells=position[cells[start:stop:k]],
-        ))
-        start = stop
-
     grouped: dict = {}
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
         key = (pset.levels[sl].tobytes(), pset.lowers[sl].tobytes(),
-               pset.widths[sl].tobytes())
+               pset.widths[sl].tobytes(), (slot[sl] >= 0).tobytes())
         grouped.setdefault(key, []).append(q)
 
     # Consecutive parts of the row order: cell-local DOF ids shaped
-    # (cells, p+1, pencils, n_tl) per slab, (p+1, cells, n_tl) per class.
+    # (cells, p+1, pencils, n_tl) per run, (p+1, cells, n_tl) per class.
     order_parts = []
     n_rows = 0
     groups = []
@@ -358,28 +349,15 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
         sl0 = pset.pencil_slice(qs[0])
         n_cells = sl0.stop - sl0.start
         entries = pset.offsets[qs][:, None] + np.arange(n_cells)
-        owned = slot[entries] < 0
-        by_mask = np.lexsort(owned.T[::-1])
-        entries, owned = entries[by_mask], owned[by_mask]
+        is_shared = slot[entries[0]] >= 0
         group_start = n_rows
-        slabs = []
-        # Slabs: runs of consecutive cells owned by the same pencils.
-        change = np.ones(n_cells, dtype=bool)
-        change[1:] = (owned[:, 1:] != owned[:, :-1]).any(axis=0)
-        starts = np.flatnonzero(change).tolist()
-        for c0, c1 in zip(starts, starts[1:] + [n_cells]):
-            pencils = np.flatnonzero(owned[:, c0])
-            if not pencils.size:
-                continue
-            ids_q = pset.cell_ids[entries[pencils, c0:c1]].T
-            part = ids_q[:, None, :, None] * n_local + lines.T[None, :, None, :]
+        runs = []
+        for c in index_runs(np.flatnonzero(~is_shared)):
+            part = pset.cell_ids[entries[:, c]].T[:, None, :, None] * n_local + lines.T[:, None]
             order_parts.append(part.ravel())
-            if pencils[-1] - pencils[0] + 1 == pencils.size:
-                pencils = slice(int(pencils[0]), int(pencils[-1]) + 1)
-            slabs.append((slice(c0, c1), pencils, slice(n_rows, n_rows + part.size),
-                          part.shape))
+            runs.append((slice(c.start * o, c.stop * o), slice(n_rows, n_rows + part.size)))
             n_rows += part.size
-        eq, ec = np.nonzero(~owned)
+        positions = np.flatnonzero(is_shared)
         groups.append(
             _PencilGroup(
                 lowers=pset.lowers[sl0].copy(),
@@ -389,22 +367,29 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
                 n_lines=len(qs) * n_tl,
                 n_cells=n_cells,
                 rows=slice(group_start, n_rows),
-                slabs=tuple(slabs),
-                entries=slot[entries[eq, ec]],
-                entry_cells=ec,
-                entry_pencils=eq,
+                runs=tuple(runs),
+                shared=positions,
+                entries=slot[entries[:, positions]].T,
             )
         )
 
     classes = []
-    extent = np.stack([mesh.lo[ids, d], mesh.width[ids, d]], axis=1)
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (extent[1:] != extent[:-1]).any(axis=1)
-    bounds = np.append(np.flatnonzero(first), len(ids))
+    key = np.stack([count[shared], mesh.lo[cells, d], mesh.width[cells, d]], axis=1)
+    first = np.ones(n_shared, dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    bounds = np.append(np.flatnonzero(first), n_shared)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        part = ids[None, a:b, None] * n_local + lines.T[:, None, :]
+        k = int(count[shared[a]])
+        part = cells[None, a:b:k, None] * n_local + lines.T[:, None, :]
         order_parts.append(part.ravel())
-        classes.append((slice(n_rows, n_rows + part.size), slice(int(a), int(b))))
+        n_c = part.shape[1]
+        classes.append(_SharedClass(
+            rows=slice(n_rows, n_rows + part.size),
+            entries=slice(int(a), int(b)),
+            prolong=prolong[a:b].reshape(n_c, k, n_tl, n_tl),
+            restrict=restrict[a:b].reshape(n_c, k, n_tl, n_tl)
+            .transpose(0, 2, 1, 3).reshape(n_c, n_tl, k * n_tl),
+        ))
         n_rows += part.size
 
     return SweepPlan(
@@ -414,31 +399,32 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
         base_width=mesh.base_width,
         n_levels=int(mesh.levels.max()) + 1,
         n_dofs=n_dofs,
+        n_tl=n_tl,
+        n_entries=n_shared,
         order=np.concatenate(order_parts),
         groups=groups,
-        shared_classes=tuple(classes),
-        entry_cells=position[cells],
-        prolong=prolong,
-        shared=tuple(shared_cells),
+        shared=tuple(classes),
     )
 
 
 def prolong_shared(block, plan: SweepPlan) -> np.ndarray:
-    """Shared entries of the block's columns, shaped (n_entries, lines, n_cols, p+1).
+    """Shared entries of the block's columns, shaped (n_entries, n_tl, n_cols, p+1).
 
     `block` is a C-contiguous (n_cols, n_dofs) block of x columns in plan
-    row order.  The prolongation runs once for the whole block: a batched
-    product over shared entries with the columns folded into the matrix
-    width.
+    row order.  The prolongation runs once for the whole block: one batched
+    product per class of shared cells, with the columns folded into the
+    matrix width.
     """
     n_cols = block.shape[0]
-    n_entries, n_tl, _ = plan.prolong.shape
     o = plan.basis.n_nodes
-    values = np.empty((plan.n_shared_cells, n_tl, n_cols, o))
-    for rows, cells in plan.shared_classes:
-        values[cells] = block[:, rows].reshape(n_cols, o, -1, n_tl).transpose(2, 3, 0, 1)
-    src = values[plan.entry_cells].reshape(n_entries, n_tl, n_cols * o)
-    return (plan.prolong @ src).reshape(n_entries, n_tl, n_cols, o)
+    n_tl = plan.n_tl
+    entries = np.empty((plan.n_entries, n_tl, n_cols, o))
+    for sc in plan.shared:
+        n_c, k = sc.prolong.shape[:2]
+        values = block[:, sc.rows].reshape(n_cols, o, n_c, n_tl).transpose(2, 3, 0, 1)
+        np.matmul(sc.prolong, values.reshape(n_c, 1, n_tl, n_cols * o),
+                  out=entries[sc.entries].reshape(n_c, k, n_tl, n_cols * o))
+    return entries
 
 
 def restrict_shared(block, entries, plan: SweepPlan) -> None:
@@ -448,14 +434,12 @@ def restrict_shared(block, entries, plan: SweepPlan) -> None:
     projection of its piecewise pencil results onto its transverse basis.
     Rows of cells lying in one pencil are not touched.
     """
-    n_entries, n_tl, n_cols, o = entries.shape
-    values = np.empty((plan.n_shared_cells, n_tl, n_cols, o))
-    flat = entries.reshape(n_entries, n_tl, n_cols * o)
+    _, n_tl, n_cols, o = entries.shape
     for sc in plan.shared:
-        part = flat[sc.entries].reshape(len(sc.cells), sc.restrict.shape[2], -1)
-        values[sc.cells] = (sc.restrict @ part).reshape(len(sc.cells), n_tl, n_cols, o)
-    for rows, cells in plan.shared_classes:
-        block[:, rows].reshape(n_cols, o, -1, n_tl)[...] = values[cells].transpose(2, 3, 0, 1)
+        n_c, _, k_lines = sc.restrict.shape
+        part = entries[sc.entries].reshape(n_c, k_lines, n_cols * o)
+        block[:, sc.rows].reshape(n_cols, o, n_c, n_tl)[...] = (
+            (sc.restrict @ part).reshape(n_c, n_tl, n_cols, o).transpose(2, 3, 0, 1))
 
 
 # Columns are swept this many at a time: the transfer products and the
@@ -467,38 +451,37 @@ _COLUMN_BLOCK = 32
 
 def _column_blocks(cols):
     """Slices of at most _COLUMN_BLOCK consecutive columns covering `cols`."""
-    for run in np.split(cols, np.nonzero(np.diff(cols) != 1)[0] + 1):
-        for b in range(run[0], run[-1] + 1, _COLUMN_BLOCK):
-            yield slice(b, min(b + _COLUMN_BLOCK, run[-1] + 1))
+    for run in index_runs(cols):
+        for b in range(run.start, run.stop, _COLUMN_BLOCK):
+            yield slice(b, min(b + _COLUMN_BLOCK, run.stop))
 
 
 def _sweep_block(block, speeds, dt, plan: SweepPlan, bc, force_slow):
     """Sweep a C-contiguous (n_cols, n_dofs) block of x columns in place.
 
     A group without shared cells multiplies a view of its rows.  Any other
-    group fills a working block from its slabs and its shared entries,
+    group fills a working block from its runs and its shared entries,
     multiplies it, and stores the results back to the same places.
     """
     n_cols = block.shape[0]
     o = plan.basis.n_nodes
-    n_tl = plan.prolong.shape[1]
     lm = _level_matrices(plan.basis, speeds, dt, plan.base_width, plan.n_levels)
     entries = prolong_shared(block, plan)
     for g in plan.groups:
         op = _pencil_operators(lm, speeds * dt, g, plan, bc, force_slow)
         shape = (n_cols, g.n_cells * o, g.n_lines)
-        if not g.entries.size:
+        if not g.shared.size:
             block[:, g.rows] = (op @ block[:, g.rows].reshape(shape)).reshape(n_cols, -1)
             continue
         work = np.empty(shape)
-        slots = work.reshape(n_cols, g.n_cells, o, -1, n_tl)
-        for cells, pencils, rows, slab in g.slabs:
-            slots[:, cells, :, pencils] = block[:, rows].reshape((n_cols,) + slab)
-        slots[:, g.entry_cells, :, g.entry_pencils] = entries[g.entries].transpose(0, 2, 3, 1)
-        out = (op @ work).reshape(slots.shape)
-        for cells, pencils, rows, slab in g.slabs:
-            block[:, rows] = out[:, cells, :, pencils].reshape(n_cols, -1)
-        entries[g.entries] = out[:, g.entry_cells, :, g.entry_pencils].transpose(0, 3, 1, 2)
+        for positions, rows in g.runs:
+            work[:, positions] = block[:, rows].reshape(n_cols, -1, g.n_lines)
+        slots = work.reshape(n_cols, g.n_cells, o, -1, plan.n_tl)
+        slots[:, g.shared] = entries[g.entries].transpose(3, 0, 4, 1, 2)
+        out = op @ work
+        for positions, rows in g.runs:
+            block[:, rows] = out[:, positions].reshape(n_cols, -1)
+        entries[g.entries] = out.reshape(slots.shape)[:, g.shared].transpose(1, 3, 4, 0, 2)
     restrict_shared(block, entries, plan)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis import DGBasis
-from .sldg1d import OverlapPair, ShiftDecomposition, apply_update, decompose_shift, overlap_pair
+from .sldg1d import (OverlapPair, ShiftDecomposition, apply_update, decompose_shift, index_runs,
+                     overlap_pair)
 
 
 class XGrid:
@@ -69,18 +70,12 @@ class XAdvectionPlan:
     groups: tuple
 
 
-def _runs(rows) -> tuple:
-    """Slices of consecutive entries covering the sorted index array `rows`."""
-    cut = np.flatnonzero(np.diff(rows) != 1) + 1
-    return tuple(slice(int(r[0]), int(r[-1]) + 1) for r in np.split(rows, cut) if r.size)
-
-
 def _build_plan(xgrid: XGrid, rows, speeds, dt: float) -> XAdvectionPlan:
     """Plan for the given row groups and their speeds, matrices built in one batch."""
     d = decompose_shift(speeds, dt, xgrid.h)
     pair = overlap_pair(xgrid.basis, d.frac)
     groups = tuple(
-        _SpeedGroup(r, _runs(r), float(speeds[u]),
+        _SpeedGroup(r, index_runs(r), float(speeds[u]),
                     ShiftDecomposition(int(d.n_shift[u]), float(d.frac[u])),
                     OverlapPair(pair.same[u], pair.neighbor[u]))
         for u, r in enumerate(rows)

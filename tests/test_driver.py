@@ -52,6 +52,13 @@ def test_config_rejects_noninteger_counts(name):
     SimConfig(**{name: np.int64(value)}).validate()
 
 
+@pytest.mark.parametrize("bad", ["no", 0, 1, None])
+def test_config_rejects_nonbool_force_slow(bad):
+    with pytest.raises(ValueError, match="force_slow must be a bool"):
+        SimConfig(force_slow=bad).validate()
+    SimConfig(force_slow=np.bool_(True)).validate()
+
+
 def test_initial_value_at_origin():
     sim = Simulation(SimConfig(dim=3, n_base=4, levels=1, degree=3, n_x=8, n_steps=1))
     iv = np.nonzero((sim.vcoords == 0.0).all(axis=1))[0]

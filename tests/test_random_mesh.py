@@ -43,6 +43,32 @@ def _plan(mesh, degree, direction):
     return basis, perm, pset, build_sweep_plan(mesh, pset, perm, basis)
 
 
+def _entry_cells(plan, perm):
+    """Cell of each shared entry: the rows of a class hold its cells' DOFs
+    shaped (p+1, cells, n_tl), and each cell has k consecutive entries."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.repeat(plan.order[sc.rows].reshape(plan.basis.n_nodes, -1, plan.n_tl)[0, :, 0]
+                  // perm.n_local, sc.prolong.shape[1])
+        for sc in plan.shared
+    ])
+
+
+def _group_cells(plan, perm, entry_cells):
+    """Each group's cells shaped (pencils, cells), read back from the plan:
+    its runs hold DOFs shaped (cells, p+1, pencils, n_tl), its entry index
+    the entries at its shared positions."""
+    o, n_tl = plan.basis.n_nodes, plan.n_tl
+    out = []
+    for g in plan.groups:
+        cells = np.empty((g.n_lines // n_tl, g.n_cells), dtype=np.int64)
+        for positions, rows in g.runs:
+            run = plan.order[rows].reshape(-1, o, len(cells), n_tl)[:, 0, :, 0]
+            cells[:, positions.start // o:positions.stop // o] = run.T // perm.n_local
+        cells[:, g.shared] = entry_cells[g.entries].T
+        out.append(cells)
+    return out
+
+
 def _transverse_moment_kernels(mesh, basis, perm, direction):
     """Per-DOF weights of the moments v_a^i v_b^j, 0 <= i, j <= p, over the
     transverse axes (a, b): exact for the DG field, with a (p+2)-point Gauss
@@ -77,7 +103,7 @@ def test_random_mesh_sweep_properties(seed, degree, direction):
     assert np.abs(wsum - 1.0).max() <= 1e-14
     for sc in plan.shared:
         n_cells, n_tl, k_lines = sc.restrict.shape
-        prolong = plan.prolong[sc.entries].reshape(n_cells, k_lines, n_tl)
+        prolong = sc.prolong.reshape(n_cells, k_lines, n_tl)
         assert np.abs(sc.restrict @ prolong - np.eye(n_tl)).max() <= 1e-13
 
     speeds = np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-60.0, 60.0, 2)])
@@ -99,19 +125,21 @@ def test_random_mesh_sweep_properties(seed, degree, direction):
 def test_transfer_matches_tensor_basis(direction):
     # Each shared entry's prolongation evaluates the cell's tensor basis at
     # the GLL nodes of the entry's transverse rectangle.  Shared entries
-    # are ordered by their cell's pencil count, then by cell.  This mesh has
-    # cells in 4 and in 13 pencils along every axis.
+    # are ordered by their cell's pencil count, then by the cell's extent
+    # along the sweep axis, then by cell and pencil.  This mesh has cells
+    # in 4 and in 13 pencils along every axis.
     mesh = random_balanced_mesh(np.random.default_rng(9))
     basis, perm, pset, plan = _plan(mesh, 2, direction)
     counts = np.bincount(pset.cell_ids)
     shared = np.nonzero(counts[pset.cell_ids] > 1)[0]
-    shared = shared[np.lexsort((shared, pset.cell_ids[shared], counts[pset.cell_ids[shared]]))]
-    assert {4, 13} <= set(counts[pset.cell_ids[shared]])
+    ids = pset.cell_ids[shared]
+    shared = shared[np.lexsort((shared, ids, mesh.width[ids, direction], mesh.lo[ids, direction],
+                                counts[ids]))]
     cells = pset.cell_ids[shared]
-    # The shared classes' rows hold their cells' DOFs shaped (p+1, cells, n_tl).
-    cell_at = np.concatenate([plan.order[rows].reshape(basis.n_nodes, -1, len(perm.lines[0]))
-                              [0, :, 0] // perm.n_local for rows, _ in plan.shared_classes])
-    np.testing.assert_array_equal(cell_at[plan.entry_cells], cells)
+    assert {4, 13} <= set(counts[cells])
+    # A class's entries are k consecutive ones per cell of its rows.
+    np.testing.assert_array_equal(_entry_cells(plan, perm), cells)
+    prolong = np.concatenate([sc.prolong.reshape(-1, plan.n_tl, plan.n_tl) for sc in plan.shared])
 
     lines = perm.lines[direction]
     t_dims = [t for t in range(3) if t != direction]
@@ -127,7 +155,37 @@ def test_transfer_matches_tensor_basis(direction):
         expect = np.ones((len(lines), len(lines)))
         for d in range(3):
             expect *= basis.eval_all(ref[:, d])[:, perm.forward[lines[:, 0], d]]
-        assert np.abs(plan.prolong[e] - expect).max() <= 1e-14, e
+        assert np.abs(prolong[e] - expect).max() <= 1e-14, e
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=9, direction=0)
+@given(seed=st.integers(0, 2**32 - 1), direction=st.integers(0, 2))
+def test_groups_share_one_mask_and_classes_one_count(seed, direction):
+    # For merged and Cartesian pencils alike, every pencil of a group
+    # shares the cells at the group's shared positions and owns the rest,
+    # the groups hold every pencil once, and each class of shared cells has
+    # one pencil count and one extent along the sweep axis.
+    mesh = random_balanced_mesh(np.random.default_rng(seed))
+    basis = DGBasis(1)
+    perm = build_permutation(basis, 3)
+    for pset in (extract_pencils(mesh, direction), cartesian_pencils(mesh, direction)):
+        plan = build_sweep_plan(mesh, classify_conforming(pset), perm, basis)
+        counts = np.bincount(pset.cell_ids, minlength=mesh.n_cells)
+        entry_cells = _entry_cells(plan, perm)
+        pencils = []
+        for g, cells in zip(plan.groups, _group_cells(plan, perm, entry_cells)):
+            mask = np.zeros(g.n_cells, dtype=bool)
+            mask[g.shared] = True
+            assert ((counts[cells] > 1) == mask).all()
+            pencils += [ids.tobytes() for ids in cells]
+        assert sorted(pencils) == sorted(pset.cell_ids[pset.pencil_slice(q)].tobytes()
+                                         for q in range(pset.n_pencils))
+        for sc in plan.shared:
+            ids = entry_cells[sc.entries]
+            assert (counts[ids] == sc.prolong.shape[1]).all()
+            for extent in (mesh.lo[ids, direction], mesh.width[ids, direction]):
+                assert (extent == extent[0]).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,7 +236,7 @@ def test_merged_sweep_matches_cartesian_oracle(seed, degree, direction, bc):
     basis, perm, pset, plan = _plan(mesh, degree, direction)
     ref = build_sweep_plan(mesh, classify_conforming(cartesian_pencils(mesh, direction)),
                            perm, basis)
-    assert len(plan.entry_cells) <= len(ref.entry_cells)
+    assert plan.n_entries <= ref.n_entries
     speeds = np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-60.0, 60.0, 2)])
     f = rng.random((plan.n_dofs, speeds.size))  # cell-local row order
     swept = []

@@ -385,8 +385,8 @@ def test_weighted_writeback_copy_and_average(amr_setup):
     basis, mesh, perm, plan, coords, weights = amr_setup
     rng = np.random.default_rng(73)
     single = np.ones(plan.n_dofs, dtype=bool)
-    for rows, _ in plan.shared_classes:
-        single[rows] = False
+    for sc in plan.shared:
+        single[sc.rows] = False
     assert single.any() and not single.all()
 
     block = rng.standard_normal((3, plan.n_dofs))
@@ -423,6 +423,26 @@ def test_weighted_writeback_rejects_uncovered(amr_setup):
     )
     with pytest.raises(SweepError, match="uncovered"):
         build_sweep_plan(mesh, holey, perm, basis)
+
+
+def test_sweep_plan_rejects_permutation_of_other_dim(amr_setup):
+    basis, mesh, perm, plan, coords, weights = amr_setup
+    pset = classify_conforming(extract_pencils(mesh, 0))
+    with pytest.raises(SweepError, match="permutation has dim 1, the mesh has dim 3"):
+        build_sweep_plan(mesh, pset, build_permutation(basis, 1), basis)
+
+
+def test_sweep_plan_rejects_permutation_of_other_degree(amr_setup):
+    basis, mesh, perm, plan, coords, weights = amr_setup
+    pset = classify_conforming(extract_pencils(mesh, 0))
+    with pytest.raises(SweepError, match="permutation has degree 2, the basis has degree 3"):
+        build_sweep_plan(mesh, pset, build_permutation(DGBasis(2), 3), basis)
+
+
+def test_sweep_plan_rejects_unclassified_pencils(amr_setup):
+    basis, mesh, perm, plan, coords, weights = amr_setup
+    with pytest.raises(SweepError, match="call classify_conforming"):
+        build_sweep_plan(mesh, extract_pencils(mesh, 0), perm, basis)
 
 
 def test_advect_zero_field_bitwise(amr_setup):
@@ -544,26 +564,31 @@ def test_sweep_plan_group_layout(amr_setup):
     assert len(plan.groups) == 2
     sizes = sorted((g.n_lines, g.n_cells) for g in plan.groups)
     assert sizes == [(192, 4), (256, 6)]
-    # The groups' slabs and the shared classes tile the rows in order, and
+    # The groups' runs and the shared classes tile the rows in order, and
     # `order` is a permutation of the cell-local DOF ids.
-    ranges = [rows for g in plan.groups for _, _, rows, _ in g.slabs]
-    ranges += [rows for rows, _ in plan.shared_classes]
+    ranges = [rows for g in plan.groups for _, rows in g.runs]
+    ranges += [sc.rows for sc in plan.shared]
     assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
     assert ranges[0].start == 0 and ranges[-1].stop == plan.n_dofs
     assert np.array_equal(np.sort(plan.order), np.arange(plan.n_dofs))
-    # Every slot of a group is either owned (in exactly one slab) or holds
-    # a shared entry, and every shared entry sits in exactly one slot.
-    o, n_tl = basis.n_nodes, len(perm.lines[0])
-    seen = np.zeros(len(plan.entry_cells), dtype=np.int64)
+    # Every working row of a group is either owned (in exactly one run) or
+    # holds shared entries, one per pencil, and every shared entry sits in
+    # exactly one slot.  Each class's entries follow the previous class's.
+    o = basis.n_nodes
+    seen = np.zeros(plan.n_entries, dtype=np.int64)
     for g in plan.groups:
-        slots = np.zeros((g.n_cells, o, g.n_lines // n_tl, n_tl), dtype=np.int64)
-        for cells, pencils, rows, shape in g.slabs:
-            assert slots[cells, :, pencils].shape == shape
-            slots[cells, :, pencils] += 1
-        slots[g.entry_cells, :, g.entry_pencils] += 1
+        slots = np.zeros(g.n_cells * o, dtype=np.int64)
+        for positions, rows in g.runs:
+            assert (positions.stop - positions.start) * g.n_lines == rows.stop - rows.start
+            slots[positions] += 1
+        slots.reshape(g.n_cells, o)[g.shared] += 1
         assert (slots == 1).all()
-        seen += np.bincount(g.entries, minlength=len(seen))
+        assert g.entries.shape == (len(g.shared), g.n_lines // plan.n_tl)
+        seen += np.bincount(g.entries.ravel(), minlength=len(seen))
     assert (seen == 1).all()
+    assert [sc.entries.start for sc in plan.shared] == [0] + [
+        sc.entries.stop for sc in plan.shared[:-1]]
+    assert plan.shared[-1].entries.stop == plan.n_entries
 
 
 # Speeds: zero, tiny, and displacements up to 3 domain lengths (12 / dt).
