@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,25 +34,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sldg-vlasov",
         description="Semi-Lagrangian DG Vlasov-Poisson benchmark runner.",
     )
-    ap.add_argument("--dv", type=int, default=SimConfig.dim, help="velocity dimensions (1 or 3)")
-    ap.add_argument("--Nb", type=int, default=SimConfig.n_base,
+    ap.add_argument("--dv", dest="dim", type=int, default=SimConfig.dim,
+                    help="velocity dimensions (1 or 3)")
+    ap.add_argument("--Nb", dest="n_base", type=int, default=SimConfig.n_base,
                     help="base velocity cells per dimension")
-    ap.add_argument("--L", type=int, default=SimConfig.levels, help="velocity AMR levels")
-    ap.add_argument("--R", type=float, default=SimConfig.radius, help="velocity domain radius")
-    ap.add_argument("--p", type=int, default=SimConfig.degree, help="velocity DG degree")
-    ap.add_argument("--Nx", type=int, default=SimConfig.n_x, help="spatial cells")
-    ap.add_argument("--px", type=int, default=SimConfig.degree_x, help="spatial DG degree")
-    ap.add_argument("--k", type=float, default=SimConfig.wave_number,
+    ap.add_argument("--L", dest="levels", type=int, default=SimConfig.levels,
+                    help="velocity AMR levels")
+    ap.add_argument("--R", dest="radius", type=float, default=SimConfig.radius,
+                    help="velocity domain radius")
+    ap.add_argument("--p", dest="degree", type=int, default=SimConfig.degree,
+                    help="velocity DG degree")
+    ap.add_argument("--Nx", dest="n_x", type=int, default=SimConfig.n_x, help="spatial cells")
+    ap.add_argument("--px", dest="degree_x", type=int, default=SimConfig.degree_x,
+                    help="spatial DG degree")
+    ap.add_argument("--k", dest="wave_number", type=float, default=SimConfig.wave_number,
                     help="perturbation wave number")
-    ap.add_argument("--alpha", type=float, default=SimConfig.perturbation,
+    ap.add_argument("--alpha", dest="perturbation", type=float, default=SimConfig.perturbation,
                     help="perturbation amplitude")
     ap.add_argument("--dt", type=float, default=SimConfig.dt, help="time step")
-    ap.add_argument("--steps", type=int, default=SimConfig.n_steps, help="number of time steps")
+    ap.add_argument("--steps", dest="n_steps", type=int, default=SimConfig.n_steps,
+                    help="number of time steps")
     ap.add_argument("--bc", choices=[ABSORBING, PERIODIC], default=SimConfig.bc,
                     help="velocity boundary mode")
     ap.add_argument("--workers", type=int, default=SimConfig.workers,
                     help="worker threads for the x-advection speed groups")
-    ap.add_argument("--force-slow-path", action="store_true",
+    ap.add_argument("--force-slow-path", dest="force_slow", action="store_true",
                     help="route every cell through the generalized-overlap path")
     ap.add_argument("--table2", metavar="ROW",
                     help="preset q<p>-<Nb>-<L>, e.g. q5-4-0")
@@ -69,23 +76,8 @@ def parse_config(argv) -> tuple[SimConfig, argparse.Namespace]:
         key = ns.table2.lower()
         if key not in TABLE2_PRESETS:
             raise ValueError(f"unknown preset {ns.table2!r}; try e.g. q5-4-0")
-        ns.p, ns.Nb, ns.L = TABLE2_PRESETS[key]
-    cfg = SimConfig(
-        dim=ns.dv,
-        n_base=ns.Nb,
-        levels=ns.L,
-        radius=ns.R,
-        degree=ns.p,
-        n_x=ns.Nx,
-        degree_x=ns.px,
-        wave_number=ns.k,
-        perturbation=ns.alpha,
-        dt=ns.dt,
-        n_steps=ns.steps,
-        bc=ns.bc,
-        workers=ns.workers,
-        force_slow=ns.force_slow_path,
-    ).validate()
+        ns.degree, ns.n_base, ns.levels = TABLE2_PRESETS[key]
+    cfg = SimConfig(**{f.name: getattr(ns, f.name) for f in fields(SimConfig)}).validate()
     return cfg, ns
 
 

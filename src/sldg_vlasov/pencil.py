@@ -1,21 +1,21 @@
 """Per-direction pencil decomposition of the velocity mesh in CSR form.
 
 A pencil is a maximal gap-free run of cells sharing a transverse extent
-along one sweep axis: one pencil per distinct list of member cells.
-Pencils are extracted in three steps: collect the unique transverse edge
-coordinates, form the Cartesian product of the resulting transverse
-intervals and gather for each rectangle the cells covering it, then merge
-the rectangles covered by the same cells into one pencil (a 1V mesh has
-one empty rectangle).  A pencil's transverse rectangle is the
-intersection of its cells' transverse boxes, so a pencil of coarse cells
-is not cut at transverse edges of finer cells elsewhere in the mesh.  A
-coarse cell lies in several pencils only where a cell along its line is
-refined; each entry's weight is the share of the cell's transverse area
-that the pencil's rectangle covers, so the weights of a cell sum to one.
+along one sweep axis: one pencil per distinct list of member cells.  The
+mesh must be a forest of octrees, as every mesh that `build_mesh` and
+`vsweep.sweep_pencil` build is: any two cells' transverse boxes are then
+nested or disjoint, so a pencil is read off a minimal box, one that holds
+no smaller box, and its cells are those whose boxes hold it (a 1V mesh
+has one empty box, so one pencil of every cell).  A pencil's transverse
+rectangle is the intersection of its cells' transverse boxes, so a pencil
+of coarse cells is not cut at transverse edges of finer cells elsewhere
+in the mesh.  A coarse cell lies in several pencils only where a cell
+along its line is refined; each entry's weight is the share of the cell's
+transverse area that the pencil's rectangle covers, so the weights of a
+cell sum to one.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,97 +61,82 @@ class PencilSet:
         return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
 
 
-def _unique_edges(vals: np.ndarray, tol: float) -> np.ndarray:
-    vals = np.sort(vals)
-    keep = np.ones(len(vals), dtype=bool)
-    keep[1:] = np.diff(vals) > tol
-    return vals[keep]
-
-
 def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
     """Decompose the mesh into pencils along `direction`.
 
-    Returns one pencil per distinct list of cells covering a rectangle of
-    the Cartesian product of transverse edges, ordered by its first such
-    rectangle (first transverse dimension varying fastest); its rectangle
-    is the intersection of its cells' transverse boxes, the union of the
-    rectangles it merges.  Raises PencilError when a rectangle is covered
-    by no cell or a pencil has a gap or overlap, naming the pencil and the
-    offending coordinate.  Conforming flags are left unset; call
-    classify_conforming afterwards.
+    Returns one pencil per minimal transverse box, one that holds no
+    strictly smaller cell box, ordered by its lower corner (last transverse
+    axis slowest).  Its cells are those whose boxes hold it, and its
+    rectangle is the intersection of their boxes.  This needs nested or
+    disjoint boxes: raises PencilError when a pencil does not span the
+    domain or has a gap or overlap, naming the pencil and the offending
+    coordinate, or when the rectangles do not tile the transverse domain.
+    Conforming flags are left unset; call classify_conforming afterwards.
     """
     if not 0 <= direction < mesh.dim:
         raise PencilError(f"direction must be in [0, {mesh.dim}), got {direction}")
     tol = 1e-9 * mesh.base_width
     t_dims = [t for t in range(mesh.dim) if t != direction]
+    t_lo = mesh.lo[:, t_dims]
+    t_hi = t_lo + mesh.width[:, t_dims]
+    # Distinct boxes, their axes reversed so that rows sort by lower corner
+    # with the last transverse axis slowest; holds[i, j]: box i holds box j.
+    boxes, box_of = np.unique(
+        np.hstack([t_lo[:, ::-1], t_hi[:, ::-1]]), axis=0, return_inverse=True
+    )
+    box_lo, box_hi = np.hsplit(boxes, 2)
+    holds = ((box_lo[:, None] <= box_lo + tol) & (box_hi[:, None] >= box_hi - tol)).all(axis=2)
+    minimal = np.nonzero(~(holds & ~holds.T).any(axis=1))[0]
+    n_pencils = len(minimal)
+    # A pencil's cells are the cells of every box that holds its box.
+    cells_in = np.split(np.argsort(box_of, kind="stable"), np.cumsum(np.bincount(box_of))[:-1])
+    pencil_of, box = np.nonzero(holds[:, minimal].T)
+    cell_ids = np.concatenate([cells_in[b] for b in box])
+    pencil_of = np.repeat(pencil_of, [len(cells_in[b]) for b in box])
+    order = np.lexsort((mesh.lo[cell_ids, direction], pencil_of))
+    pencil_of, cell_ids = pencil_of[order], cell_ids[order]
+    offsets = np.searchsorted(pencil_of, np.arange(n_pencils + 1))
 
-    intervals = []
-    for t in t_dims:
-        edges = _unique_edges(
-            np.concatenate([mesh.lo[:, t], mesh.lo[:, t] + mesh.width[:, t]]), tol
+    lo = mesh.lo[cell_ids, direction]
+    hi = lo + mesh.width[cell_ids, direction]
+    first, last = offsets[:-1], offsets[1:] - 1
+    off_span = (np.abs(lo[first] + mesh.radius) > tol) | (np.abs(hi[last] - mesh.radius) > tol)
+    if off_span.any():
+        q = int(np.argmax(off_span))
+        raise PencilError(
+            f"pencil {q} in direction {direction} does not span the domain: "
+            f"[{lo[first[q]]}, {hi[last[q]]}]"
         )
-        intervals.append(list(zip(edges[:-1], edges[1:])))
-    # Rectangles of the Cartesian product of the intervals, in lexicographic
-    # order (first transverse dimension fastest), each mapped to the cells
-    # covering it.  Rectangles covered by the same cells make one pencil, in
-    # order of their first rectangle.  A 1V mesh has one empty rectangle,
-    # so one pencil of every cell.
-    pencil_members = {}
-    for q, rect in enumerate(itertools.product(*intervals[::-1])):
-        covers = np.ones(mesh.n_cells, dtype=bool)
-        for t, (a, b) in zip(t_dims, rect[::-1]):
-            covers &= (mesh.lo[:, t] <= a + tol) & (mesh.lo[:, t] + mesh.width[:, t] >= b - tol)
-        ids = np.nonzero(covers)[0]
-        if ids.size == 0:
-            raise PencilError(f"rectangle {q} in direction {direction} covers no cells")
-        pencil_members.setdefault(ids.tobytes(), ids)
-    pencil_members = list(pencil_members.values())
+    gaps = np.abs(lo[1:] - hi[:-1])
+    gaps[last[:-1]] = 0.0  # a pencil's last cell and the next pencil's first
+    if gaps.size and gaps.max() > tol:
+        k = int(np.argmax(gaps))
+        raise PencilError(
+            f"pencil {pencil_of[k]} in direction {direction}: gap or overlap at "
+            f"coordinate {hi[k]}"
+        )
 
-    offsets = [0]
-    cell_ids = []
-    for q, ids in enumerate(pencil_members):
-        order = np.argsort(mesh.lo[ids, direction], kind="stable")
-        ids = ids[order]
-        lo = mesh.lo[ids, direction]
-        w = mesh.width[ids, direction]
-        if abs(lo[0] + mesh.radius) > tol or abs(lo[-1] + w[-1] - mesh.radius) > tol:
-            raise PencilError(
-                f"pencil {q} in direction {direction} does not span the domain: "
-                f"[{lo[0]}, {lo[-1] + w[-1]}]"
-            )
-        gaps = np.abs(lo[1:] - (lo[:-1] + w[:-1]))
-        if gaps.size and gaps.max() > tol:
-            k = int(np.argmax(gaps))
-            raise PencilError(
-                f"pencil {q} in direction {direction}: gap or overlap at "
-                f"coordinate {lo[k] + w[k]}"
-            )
-        cell_ids.append(ids)
-        offsets.append(offsets[-1] + len(ids))
-
-    cell_ids = np.concatenate(cell_ids)
     # Each pencil's rectangle is the intersection of its cells' transverse
     # boxes: the cells tile every line through it, so no other cell meets it.
-    box_lo = mesh.lo[cell_ids][:, t_dims]
-    box_hi = box_lo + mesh.width[cell_ids][:, t_dims]
-    t_lowers = np.maximum.reduceat(box_lo, offsets[:-1], axis=0)
-    t_widths = np.minimum.reduceat(box_hi, offsets[:-1], axis=0) - t_lowers
-    pencil_of = np.repeat(np.arange(len(pencil_members)), np.diff(offsets))
-    area_share = np.prod(t_widths[pencil_of] / mesh.width[cell_ids][:, t_dims], axis=1)
-    counts = np.bincount(cell_ids, minlength=mesh.n_cells)
-    if (counts == 0).any():
-        missing = int(np.nonzero(counts == 0)[0][0])
-        raise PencilError(f"cell {missing} appears in no pencil of direction {direction}")
+    t_lowers = np.maximum.reduceat(t_lo[cell_ids], first, axis=0)
+    t_widths = np.minimum.reduceat(t_hi[cell_ids], first, axis=0) - t_lowers
+    area = t_widths.prod(axis=1).sum()
+    full = (2 * mesh.radius) ** len(t_dims)
+    if abs(area - full) > 1e-9 * full:
+        raise PencilError(
+            f"pencil rectangles in direction {direction} cover {area} of the "
+            f"transverse area {full}: the cells' boxes are not nested or leave a hole"
+        )
 
     return PencilSet(
         direction=direction,
-        n_pencils=len(pencil_members),
-        offsets=np.asarray(offsets, dtype=np.int64),
+        n_pencils=n_pencils,
+        offsets=offsets,
         cell_ids=cell_ids,
-        lowers=mesh.lo[cell_ids, direction].copy(),
-        widths=mesh.width[cell_ids, direction].copy(),
-        levels=mesh.levels[cell_ids].copy(),
-        weights=area_share,
+        lowers=lo,
+        widths=mesh.width[cell_ids, direction],
+        levels=mesh.levels[cell_ids],
+        weights=np.prod(t_widths[pencil_of] / mesh.width[cell_ids][:, t_dims], axis=1),
         t_lowers=t_lowers,
         t_widths=t_widths,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sldg_vlasov.pencil import PencilError, classify_conforming, extract_pencils
-from sldg_vlasov.vmesh import build_mesh
+from sldg_vlasov.vmesh import VelocityMesh, build_mesh
 
 
 def test_uniform_mesh_pencils():
@@ -57,7 +57,9 @@ def test_amr_coarse_cells_weighted_quarter():
     np.testing.assert_allclose(pset.weights[quad[pset.cell_ids]], 0.25)
 
 
-@pytest.mark.parametrize("n_base,levels", [(4, 0), (4, 1), (4, 2), (3, 1), (8, 0)])
+@pytest.mark.parametrize(
+    "n_base,levels", [(4, 0), (4, 1), (4, 2), (3, 1), (3, 2), (5, 2), (8, 0)]
+)
 @pytest.mark.parametrize("direction", [0, 1, 2])
 def test_pencil_invariants(n_base, levels, direction):
     mesh = build_mesh(3, n_base, levels, 6.0)
@@ -183,8 +185,6 @@ def test_invalid_direction():
 
 
 def test_gap_detected_and_named():
-    from sldg_vlasov.vmesh import VelocityMesh
-
     good = build_mesh(3, 4, 0, 6.0)
     keep = np.ones(good.n_cells, dtype=bool)
     keep[10] = False  # punch a hole in the tiling
@@ -193,3 +193,25 @@ def test_gap_detected_and_named():
     with pytest.raises(PencilError, match="pencil"):
         extract_pencils(holey, 0)
 
+
+def test_transverse_hole_detected():
+    # Removing a whole line of cells leaves no pencil over its transverse
+    # box, so the rectangles fall short of the transverse domain.
+    good = build_mesh(3, 4, 0, 6.0)
+    keep = ~((good.lo[:, 1] == -6.0) & (good.lo[:, 2] == -6.0))
+    holey = VelocityMesh(3, 6.0, 4, good.levels[keep], good.lo[keep], good.width[keep])
+    with pytest.raises(PencilError, match="transverse area"):
+        extract_pencils(holey, 0)
+
+
+def test_non_nested_boxes_rejected():
+    # Two v_x layers, the lower split at v_y = 0 and the upper at v_z = 0:
+    # along v_x no cell box holds another, so each pencil holds one cell
+    # that does not span the domain.  Along v_y and v_z the boxes nest.
+    lo = np.array([[-6.0, -6.0, -6.0], [-6.0, 0.0, -6.0], [0.0, -6.0, -6.0], [0.0, -6.0, 0.0]])
+    width = np.array([[6.0, 6.0, 12.0]] * 2 + [[6.0, 12.0, 6.0]] * 2)
+    mesh = VelocityMesh(3, 6.0, 2, np.zeros(4, dtype=int), lo, width)
+    with pytest.raises(PencilError, match="pencil 0 in direction 0 does not span"):
+        extract_pencils(mesh, 0)
+    for d in (1, 2):
+        assert extract_pencils(mesh, d).n_pencils == 3
