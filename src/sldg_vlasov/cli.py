@@ -28,6 +28,9 @@ TABLE2_PRESETS = {
     + [(nb, lev) for nb in _AMR_BASES for lev in (1, 2)]
 }
 
+# The fields a Table-2 preset sets, and the flags that set them one by one.
+_PRESET_FLAGS = {"degree": "--p", "n_base": "--Nb", "levels": "--L"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -71,13 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv) -> tuple[SimConfig, argparse.Namespace]:
     ap = build_parser()
-    ns = ap.parse_args(argv)
+    # Preset fields start at None and keep it unless their flag is given;
+    # SimConfig supplies the defaults of those left at None.
+    ns = ap.parse_args(argv, namespace=argparse.Namespace(**dict.fromkeys(_PRESET_FLAGS)))
     if ns.table2 is not None:
         key = ns.table2.lower()
         if key not in TABLE2_PRESETS:
             raise ValueError(f"unknown preset {ns.table2!r}; try e.g. q5-4-0")
+        given = [flag for name, flag in _PRESET_FLAGS.items() if getattr(ns, name) is not None]
+        if given:
+            raise ValueError(f"--table2 sets the degree, base cells and levels; "
+                             f"it conflicts with {', '.join(given)}")
         ns.degree, ns.n_base, ns.levels = TABLE2_PRESETS[key]
-    cfg = SimConfig(**{f.name: getattr(ns, f.name) for f in fields(SimConfig)}).validate()
+    cfg = SimConfig(**{f.name: getattr(ns, f.name) for f in fields(SimConfig)
+                       if getattr(ns, f.name) is not None}).validate()
     return cfg, ns
 
 

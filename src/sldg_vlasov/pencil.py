@@ -16,7 +16,7 @@ cell sum to one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +27,12 @@ class PencilError(ValueError):
     pass
 
 
-# A conforming cell's neighbors up to this many positions away along its
-# pencil sit at its level.
-CONFORMING_RADIUS = 2
-
-
-@dataclass
+@dataclass(frozen=True)
 class PencilSet:
     """CSR pencil arrays for one sweep direction.
 
     offsets[q]:offsets[q+1] delimits pencil q inside the aligned entry
-    arrays cell_ids / lowers / widths / levels / weights / conforming.
+    arrays cell_ids / lowers / widths / levels / weights.
     Entries within a pencil are sorted by sweep coordinate and tile
     [-R, R] without gaps.  t_lowers[q] / t_widths[q] give the transverse
     rectangle of pencil q, one column per transverse axis in increasing
@@ -55,7 +50,6 @@ class PencilSet:
     weights: np.ndarray
     t_lowers: np.ndarray
     t_widths: np.ndarray
-    conforming: np.ndarray = field(default=None)
 
     def pencil_slice(self, q: int) -> slice:
         return slice(int(self.offsets[q]), int(self.offsets[q + 1]))
@@ -71,7 +65,6 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
     disjoint boxes: raises PencilError when a pencil does not span the
     domain or has a gap or overlap, naming the pencil and the offending
     coordinate, or when the rectangles do not tile the transverse domain.
-    Conforming flags are left unset; call classify_conforming afterwards.
     """
     if not 0 <= direction < mesh.dim:
         raise PencilError(f"direction must be in [0, {mesh.dim}), got {direction}")
@@ -141,30 +134,3 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
         t_widths=t_widths,
     )
 
-
-def classify_conforming(pset: PencilSet) -> PencilSet:
-    """Flag each pencil entry whose neighbors within CONFORMING_RADIUS share its level.
-
-    A destination cell s with integer shift n reads source cells s-n and
-    s-n-1, which together with every cell between them and s lie within
-    s +- CONFORMING_RADIUS exactly when -CONFORMING_RADIUS <= n <=
-    CONFORMING_RADIUS - 1.  In that window index arithmetic equals
-    coordinate arithmetic for a conforming cell, so the sweep's fast path
-    takes its level's overlap pair there; larger shifts go to the slow path.
-
-    The neighbor lookup wraps at the pencil ends, so one plan serves both
-    boundary modes: periodic sweeps read the wrapped neighbors, and for
-    absorbing sweeps the rule is only stricter than needed.  Single-cell
-    pencils are always nonconforming: a periodic shift reads their one cell
-    as both the same and the neighbor source, which the fast path's index
-    arithmetic does not add up.
-    """
-    lengths = np.diff(pset.offsets)
-    start = np.repeat(pset.offsets[:-1], lengths)[:, None]
-    length = np.repeat(lengths, lengths)[:, None]
-    offs = np.array([k for k in range(-CONFORMING_RADIUS, CONFORMING_RADIUS + 1) if k])
-    local = np.arange(len(pset.levels))[:, None] - start
-    neighbors = start + (local + offs) % length
-    same = pset.levels[neighbors] == pset.levels[:, None]
-    pset.conforming = (length[:, 0] > 1) & same.all(axis=1)
-    return pset

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DGBasis
-from .pencil import CONFORMING_RADIUS, PencilSet, classify_conforming, extract_pencils
+from .pencil import PencilSet, extract_pencils
 from .sldg1d import (ABSORBING, PERIODIC, check_bc, decompose_shift, index_runs, overlap_blocks,
                      overlap_pair)
 from .sldg1d import apply_update  # noqa: F401 - the traced benchmark wraps vsweep.apply_update
@@ -41,6 +41,30 @@ from .vmesh import VelocityMesh
 
 class SweepError(RuntimeError):
     pass
+
+
+CONFORMING_RADIUS = 2
+
+
+def classify_conforming(levels) -> np.ndarray:
+    """Flag each cell of a pencil whose neighbors within CONFORMING_RADIUS share its level.
+
+    `levels` are the pencil's cell levels in sweep order.  A destination
+    cell s with integer shift n reads source cells s-n and s-n-1, which
+    together with every cell between them and s lie within s +-
+    CONFORMING_RADIUS exactly when -CONFORMING_RADIUS <= n <=
+    CONFORMING_RADIUS - 1; there index arithmetic equals coordinate
+    arithmetic for a conforming cell, so the sweep takes its level's
+    overlap pair (`_pencil_operators`).  The lookup wraps at the pencil
+    ends, so one plan serves both boundary modes: periodic sweeps read the
+    wrapped neighbors, and for absorbing sweeps the rule is only stricter
+    than needed.  A one-cell pencil is nonconforming: a periodic shift
+    reads its cell as both sources, which index arithmetic does not add up.
+    """
+    n = len(levels)
+    offs = np.array([k for k in range(-CONFORMING_RADIUS, CONFORMING_RADIUS + 1) if k])
+    same = levels[(np.arange(n)[:, None] + offs) % n] == levels[:, None]
+    return (n > 1) & same.all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -176,8 +200,7 @@ def sweep_pencil(values, widths, speed, dt, bc, basis: DGBasis, force_slow: bool
     # n_base = total / h0 need not be whole: the pencil's cells need not
     # make up whole widest cells.
     mesh = VelocityMesh(1, 0.5 * total, total / h0, levels, lowers[:, None], widths[:, None])
-    pset = classify_conforming(extract_pencils(mesh, 0))
-    plan = build_sweep_plan(mesh, pset, build_permutation(basis, 1), basis)
+    plan = build_sweep_plan(mesh, basis)
     # The lines become x columns of an x-major copy; a 1V plan keeps the
     # cell-local row order.
     lines = values.reshape(-1, n * o).copy()
@@ -240,6 +263,7 @@ class SweepPlan:
 
     direction: int
     basis: DGBasis
+    perm: TensorPermutation   # tensor layout of the cell-local DOFs
     radius: float
     base_width: float
     n_levels: int
@@ -273,26 +297,21 @@ def _transfer_1d(basis, sub_lo, sub_w, cell_lo, cell_w, tol):
     return prolong, restrict
 
 
-def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutation,
-                     basis: DGBasis) -> SweepPlan:
-    """Group congruent pencils and order the velocity DOFs for the sweep.
+def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
+                     pencils: PencilSet | None = None) -> SweepPlan:
+    """Plan the sweep of the mesh along the direction of its pencils.
 
-    Pencils with identical cell layout (same coordinates, widths, levels)
-    and the same sharing mask share their update operator for any speed,
-    so their transverse lines are batched into one matrix product per
-    swept column.  Cells lying in several pencils get per-entry transverse
-    prolongation and restriction matrices (Kronecker products of the 1D
-    ones).  Raises SweepError when the permutation or the pencils do not
-    fit the mesh and basis, or unless the pencil weights of every cell sum
-    to one.
+    The pencils default to the mesh's direction-0 pencils.  Pencils with
+    identical cell layout (same coordinates, widths, levels) and the same
+    sharing mask share their update operator and conforming flags for any
+    speed, so their transverse lines are batched into one matrix product
+    per swept column.  Cells lying in several pencils get per-entry
+    transverse prolongation and restriction matrices (Kronecker products
+    of the 1D ones).  Raises SweepError unless the pencil weights of every
+    cell sum to one.
     """
-    if perm.dim != mesh.dim:
-        raise SweepError(f"tensor permutation has dim {perm.dim}, the mesh has dim {mesh.dim}")
-    if perm.degree != basis.degree:
-        raise SweepError(f"tensor permutation has degree {perm.degree}, "
-                         f"the basis has degree {basis.degree}")
-    if pset.conforming is None:
-        raise SweepError("pencil set has no conforming flags: call classify_conforming first")
+    pset = extract_pencils(mesh, 0) if pencils is None else pencils
+    perm = build_permutation(basis, mesh.dim)
     o = basis.n_nodes
     n_local = perm.n_local
     d = pset.direction
@@ -363,7 +382,7 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
                 lowers=pset.lowers[sl0].copy(),
                 widths=pset.widths[sl0].copy(),
                 levels=pset.levels[sl0].copy(),
-                conforming=pset.conforming[sl0].copy(),
+                conforming=classify_conforming(pset.levels[sl0]),
                 n_lines=len(qs) * n_tl,
                 n_cells=n_cells,
                 rows=slice(group_start, n_rows),
@@ -395,6 +414,7 @@ def build_sweep_plan(mesh: VelocityMesh, pset: PencilSet, perm: TensorPermutatio
     return SweepPlan(
         direction=d,
         basis=basis,
+        perm=perm,
         radius=mesh.radius,
         base_width=mesh.base_width,
         n_levels=int(mesh.levels.max()) + 1,

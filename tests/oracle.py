@@ -15,7 +15,7 @@ def cartesian_pencils(mesh, direction: int) -> PencilSet:
     transverse edge, so its cells lie in several pencils, each entry
     weighted by its rectangle's share of the cell's transverse area.
     Rectangles are in lexicographic order, first transverse axis fastest;
-    a 1V mesh has one empty rectangle.  Conforming flags are left unset.
+    a 1V mesh has one empty rectangle.
     """
     tol = 1e-9 * mesh.base_width
     t_dims = [t for t in range(mesh.dim) if t != direction]

@@ -60,6 +60,19 @@ def test_table2_preset():
     assert "q4-8-0" in TABLE2_PRESETS and "q4-8-1" not in TABLE2_PRESETS
 
 
+@pytest.mark.parametrize("extra,named", [
+    (["--p", "3", "--L", "2"], "--p, --L"),
+    (["--Nb", "4"], "--Nb"),
+])
+def test_table2_with_a_flag_it_sets_exits_config(extra, named, capsys):
+    # A preset fixes the degree, base cells and levels, so a flag setting one
+    # of them too is refused, even at the preset's own value.
+    with pytest.raises(ValueError, match=f"conflicts with {named}$"):
+        parse_config(["--table2", "q5-4-0"] + extra)
+    assert main(["--table2", "q5-4-0"] + extra) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
 def test_bad_preset_exits_config():
     assert main(["--table2", "q9-9-9"]) == EXIT_CONFIG
 

@@ -19,8 +19,6 @@ from sldg_vlasov.driver import (
     velocity_dof_coords,
     velocity_dof_weights,
 )
-from sldg_vlasov.pencil import classify_conforming, extract_pencils
-from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.vsweep import advect_velocity, build_sweep_plan, sweep_pencil
 from sldg_vlasov.xfield import advect_x
@@ -94,8 +92,7 @@ def test_one_dimensional_plan_keeps_cell_local_order():
     # sweep_pencil relies on it when it sweeps values given in cell order.
     basis = DGBasis(2)
     mesh = build_mesh(1, 6, 2, 6.0)
-    plan = build_sweep_plan(mesh, classify_conforming(extract_pencils(mesh, 0)),
-                            build_permutation(basis, 1), basis)
+    plan = build_sweep_plan(mesh, basis)
     assert np.array_equal(plan.order, np.arange(plan.n_dofs))
 
 

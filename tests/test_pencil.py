@@ -1,8 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from sldg_vlasov.pencil import PencilError, classify_conforming, extract_pencils
+from sldg_vlasov.pencil import PencilError, extract_pencils
 from sldg_vlasov.vmesh import VelocityMesh, build_mesh
+from sldg_vlasov.vsweep import classify_conforming
 
 
 def test_uniform_mesh_pencils():
@@ -94,19 +97,25 @@ def test_pencil_invariants(n_base, levels, direction):
     assert counts.sum() == len(pset.cell_ids)
 
 
+def conforming_flags(pset):
+    """The sweep's conforming flags of every pencil entry, pencil by pencil."""
+    return np.concatenate([classify_conforming(pset.levels[pset.pencil_slice(q)])
+                           for q in range(pset.n_pencils)])
+
+
 def test_classify_uniform_all_conforming():
     mesh = build_mesh(3, 8, 0, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0))
-    assert pset.conforming.all()
+    assert conforming_flags(extract_pencils(mesh, 0)).all()
 
 
 def test_classify_amr_interface_nonconforming():
     mesh = build_mesh(3, 4, 1, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0))
+    pset = extract_pencils(mesh, 0)
+    flags = conforming_flags(pset)
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
         lev = pset.levels[sl]
-        conf = pset.conforming[sl]
+        conf = flags[sl]
         if (lev == lev[0]).all():
             assert conf.all()
         else:
@@ -121,33 +130,14 @@ def test_classify_amr_interface_nonconforming():
 
 
 def test_classify_single_cell_pencil():
-    # A one-cell mesh direction gives a one-cell pencil: always slow path.
-    mesh = build_mesh(1, 2, 0, 6.0)
-    pset = extract_pencils(mesh, 0)
-    # fabricate a single-cell pencil by slicing the arrays
-    from sldg_vlasov.pencil import PencilSet
-
-    single = PencilSet(
-        direction=0,
-        n_pencils=1,
-        offsets=np.array([0, 1]),
-        cell_ids=pset.cell_ids[:1],
-        lowers=pset.lowers[:1],
-        widths=pset.widths[:1],
-        levels=pset.levels[:1],
-        weights=np.array([1.0]),
-        t_lowers=np.empty((1, 0)),
-        t_widths=np.empty((1, 0)),
-    )
-    single = classify_conforming(single)
-    assert not single.conforming.any()
+    # A one-cell pencil always takes the slow path.
+    assert not classify_conforming(np.zeros(1, dtype=np.int64)).any()
 
 
 def test_classify_periodic_wraps():
     # Periodic lookup wraps: uniform pencil stays fully conforming.
     mesh = build_mesh(3, 4, 0, 6.0)
-    pset = classify_conforming(extract_pencils(mesh, 0))
-    assert pset.conforming.all()
+    assert conforming_flags(extract_pencils(mesh, 0)).all()
 
 
 def in_range_flags(pset):
@@ -174,8 +164,18 @@ def test_classify_wrapped_equals_in_range_on_built_meshes(n_base, levels):
     # level sequence is a palindrome and wrapping changes no flag.
     mesh = build_mesh(3, n_base, levels, 6.0)
     for d in range(3):
-        pset = classify_conforming(extract_pencils(mesh, d))
-        assert np.array_equal(pset.conforming, in_range_flags(pset)), d
+        pset = extract_pencils(mesh, d)
+        assert np.array_equal(conforming_flags(pset), in_range_flags(pset)), d
+
+
+def test_pencil_set_is_frozen():
+    # A sweep plan keys its pencil groups on these arrays, so a pencil set
+    # takes no new values and no new fields once extracted.
+    pset = extract_pencils(build_mesh(3, 4, 1, 6.0), 0)
+    with pytest.raises(FrozenInstanceError):
+        pset.levels = np.zeros_like(pset.levels)
+    with pytest.raises(FrozenInstanceError):
+        pset.conforming = np.ones(len(pset.levels), dtype=bool)
 
 
 def test_invalid_direction():

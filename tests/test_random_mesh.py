@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import velocity_dof_weights
-from sldg_vlasov.pencil import classify_conforming, extract_pencils
-from sldg_vlasov.tensor import build_permutation
+from sldg_vlasov.pencil import extract_pencils
 from sldg_vlasov.vmesh import VelocityMesh, _balance_violators, _refine, build_mesh
 from sldg_vlasov.vsweep import advect_velocity, build_sweep_plan
 
@@ -38,9 +37,9 @@ def random_balanced_mesh(rng) -> VelocityMesh:
 
 def _plan(mesh, degree, direction):
     basis = DGBasis(degree)
-    perm = build_permutation(basis, 3)
-    pset = classify_conforming(extract_pencils(mesh, direction))
-    return basis, perm, pset, build_sweep_plan(mesh, pset, perm, basis)
+    pset = extract_pencils(mesh, direction)
+    plan = build_sweep_plan(mesh, basis, pset)
+    return basis, plan.perm, pset, plan
 
 
 def _entry_cells(plan, perm):
@@ -168,13 +167,12 @@ def test_groups_share_one_mask_and_classes_one_count(seed, direction):
     # one pencil count and one extent along the sweep axis.
     mesh = random_balanced_mesh(np.random.default_rng(seed))
     basis = DGBasis(1)
-    perm = build_permutation(basis, 3)
     for pset in (extract_pencils(mesh, direction), cartesian_pencils(mesh, direction)):
-        plan = build_sweep_plan(mesh, classify_conforming(pset), perm, basis)
+        plan = build_sweep_plan(mesh, basis, pset)
         counts = np.bincount(pset.cell_ids, minlength=mesh.n_cells)
-        entry_cells = _entry_cells(plan, perm)
+        entry_cells = _entry_cells(plan, plan.perm)
         pencils = []
-        for g, cells in zip(plan.groups, _group_cells(plan, perm, entry_cells)):
+        for g, cells in zip(plan.groups, _group_cells(plan, plan.perm, entry_cells)):
             mask = np.zeros(g.n_cells, dtype=bool)
             mask[g.shared] = True
             assert ((counts[cells] > 1) == mask).all()
@@ -234,8 +232,7 @@ def test_merged_sweep_matches_cartesian_oracle(seed, degree, direction, bc):
     rng = np.random.default_rng(seed)
     mesh = random_balanced_mesh(rng)
     basis, perm, pset, plan = _plan(mesh, degree, direction)
-    ref = build_sweep_plan(mesh, classify_conforming(cartesian_pencils(mesh, direction)),
-                           perm, basis)
+    ref = build_sweep_plan(mesh, basis, cartesian_pencils(mesh, direction))
     assert plan.n_entries <= ref.n_entries
     speeds = np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-60.0, 60.0, 2)])
     f = rng.random((plan.n_dofs, speeds.size))  # cell-local row order

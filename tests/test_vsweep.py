@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import velocity_dof_coords, velocity_dof_weights
-from sldg_vlasov.pencil import PencilSet, classify_conforming, extract_pencils
+from sldg_vlasov.pencil import PencilSet, extract_pencils
 from sldg_vlasov.sldg1d import (
     OverlapPair,
     ShiftDecomposition,
     overlap_blocks,
     overlap_pair,
 )
-from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.vsweep import (
     SweepError,
     advect_velocity,
     build_sweep_plan,
+    classify_conforming,
     precompute_level_matrices,
     prolong_shared,
     restrict_shared,
@@ -74,14 +74,12 @@ def sweep_plans():
     # boundary modes.  Only the 8^3 mesh has conforming cells in pencils
     # that change level.
     basis = DGBasis(3)
-    perm = build_permutation(basis, 3)
     out = {}
     for n_base, levels in ((4, 1), (4, 2), (8, 1)):
         mesh = build_mesh(3, n_base, levels, 6.0)
-        pset = classify_conforming(extract_pencils(mesh, 0))
-        plan = build_sweep_plan(mesh, pset, perm, basis)
-        coords = velocity_dof_coords(mesh, basis, perm)[plan.order]
-        weights = velocity_dof_weights(mesh, basis, perm)[plan.order]
+        plan = build_sweep_plan(mesh, basis)
+        coords = velocity_dof_coords(mesh, basis, plan.perm)[plan.order]
+        weights = velocity_dof_weights(mesh, basis, plan.perm)[plan.order]
         out[n_base, levels] = (plan, mesh, coords, weights)
     return out
 
@@ -90,7 +88,7 @@ def sweep_plans():
 def amr_setup(sweep_plans):
     # The 4^3+AMR1 plan with its basis and DOF permutation.
     plan, mesh, coords, weights = sweep_plans[4, 1]
-    return plan.basis, mesh, build_permutation(plan.basis, 3), plan, coords, weights
+    return plan.basis, mesh, plan.perm, plan, coords, weights
 
 
 def test_level_matrices_zero_speed():
@@ -234,8 +232,7 @@ def test_sweep_hybrid_matches_forced_slow_on_pencil():
     # the hybrid sweep takes the fast path there.
     basis = DGBasis(3)
     widths = np.array([3.0] + [1.5] * 6 + [3.0])
-    _, conforming = _one_pencil(widths, np.array([0, 1, 1, 1, 1, 1, 1, 0]))
-    assert conforming.any()
+    assert classify_conforming(np.array([0, 1, 1, 1, 1, 1, 1, 0])).any()
     rng = np.random.default_rng(47)
     vals = rng.standard_normal((3, 8, 4))
     hybrid = sweep_pencil(vals, widths, 0.9, 0.2, "absorbing", basis)
@@ -275,14 +272,8 @@ def test_sweep_fast_window_edges(bc, n_shift):
     # where index arithmetic would read the coarse cell as a fine one.
     basis = DGBasis(3)
     widths = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
-    lowers = -4.5 + np.concatenate([[0.0], np.cumsum(widths[:-1])])
-    levels = np.array([0, 1, 1, 1, 1, 1, 0])
-    pset = classify_conforming(PencilSet(
-        direction=0, n_pencils=1, offsets=np.array([0, 7]), cell_ids=np.arange(7),
-        lowers=lowers, widths=widths, levels=levels, weights=np.ones(7),
-        t_lowers=np.empty((1, 0)), t_widths=np.empty((1, 0)),
-    ))
-    assert pset.conforming.tolist() == [False, False, False, True, False, False, False]
+    conforming = classify_conforming(np.array([0, 1, 1, 1, 1, 1, 0]))
+    assert conforming.tolist() == [False, False, False, True, False, False, False]
     dt = 0.1
     speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
     lm = precompute_level_matrices(basis, speed, dt, 2.0, 2)
@@ -294,18 +285,6 @@ def test_sweep_fast_window_edges(bc, n_shift):
     assert np.abs(hybrid - slow).max() <= 1e-12
 
 
-def _one_pencil(widths, levels):
-    """Lower edges and conforming flags of one pencil of these cells, centred on 0."""
-    n = len(widths)
-    lowers = -0.5 * widths.sum() + np.concatenate([[0.0], np.cumsum(widths[:-1])])
-    pset = classify_conforming(PencilSet(
-        direction=0, n_pencils=1, offsets=np.array([0, n]), cell_ids=np.arange(n),
-        lowers=lowers, widths=widths, levels=levels, weights=np.ones(n),
-        t_lowers=np.empty((1, 0)), t_widths=np.empty((1, 0)),
-    ))
-    return lowers, pset.conforming
-
-
 @pytest.mark.parametrize("bc", ["absorbing", "periodic"])
 @pytest.mark.parametrize("n_shift", [-2, -1, 0, 1])
 def test_sweep_one_plan_serves_both_modes(bc, n_shift):
@@ -315,8 +294,7 @@ def test_sweep_one_plan_serves_both_modes(bc, n_shift):
     # the stricter flags stay exact for absorbing sweeps.
     basis = DGBasis(3)
     widths = np.array([1.0] * 6 + [2.0] * 2)
-    levels = np.array([1, 1, 1, 1, 1, 1, 0, 0])
-    _, conforming = _one_pencil(widths, levels)
+    conforming = classify_conforming(np.array([1, 1, 1, 1, 1, 1, 0, 0]))
     assert conforming.tolist() == [False, False, True, True, False, False, False, False]
     dt = 0.1
     speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
@@ -406,7 +384,7 @@ def test_weighted_writeback_rejects_uncovered(amr_setup):
     # Dropping one pencil leaves part of some cells without a pencil, so
     # their write-back weights no longer sum to one.
     basis, mesh, perm, plan, coords, weights = amr_setup
-    pset = classify_conforming(extract_pencils(mesh, 0))
+    pset = extract_pencils(mesh, 0)
     keep = slice(0, int(pset.offsets[-2]))
     holey = PencilSet(
         direction=0,
@@ -417,32 +395,11 @@ def test_weighted_writeback_rejects_uncovered(amr_setup):
         widths=pset.widths[keep],
         levels=pset.levels[keep],
         weights=pset.weights[keep],
-        conforming=pset.conforming[keep],
         t_lowers=pset.t_lowers[:-1],
         t_widths=pset.t_widths[:-1],
     )
     with pytest.raises(SweepError, match="uncovered"):
-        build_sweep_plan(mesh, holey, perm, basis)
-
-
-def test_sweep_plan_rejects_permutation_of_other_dim(amr_setup):
-    basis, mesh, perm, plan, coords, weights = amr_setup
-    pset = classify_conforming(extract_pencils(mesh, 0))
-    with pytest.raises(SweepError, match="permutation has dim 1, the mesh has dim 3"):
-        build_sweep_plan(mesh, pset, build_permutation(basis, 1), basis)
-
-
-def test_sweep_plan_rejects_permutation_of_other_degree(amr_setup):
-    basis, mesh, perm, plan, coords, weights = amr_setup
-    pset = classify_conforming(extract_pencils(mesh, 0))
-    with pytest.raises(SweepError, match="permutation has degree 2, the basis has degree 3"):
-        build_sweep_plan(mesh, pset, build_permutation(DGBasis(2), 3), basis)
-
-
-def test_sweep_plan_rejects_unclassified_pencils(amr_setup):
-    basis, mesh, perm, plan, coords, weights = amr_setup
-    with pytest.raises(SweepError, match="call classify_conforming"):
-        build_sweep_plan(mesh, extract_pencils(mesh, 0), perm, basis)
+        build_sweep_plan(mesh, basis, holey)
 
 
 def test_advect_zero_field_bitwise(amr_setup):
