@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import DGBasis
 
@@ -142,16 +143,15 @@ def apply_update(values, decomp: ShiftDecomposition, pair: OverlapPair):
     """
     if values.ndim < 3:
         raise ValueError("expected pencil values of shape (..., n_cells, p+1, n_lines)")
-    # Both projections of every cell are taken before `values` is
-    # overwritten, then shifted into place: cell i takes `same` from cell
-    # i - n and `neighbor` from cell i - n - 1.
-    same, neighbor = pair.same @ values, pair.neighbor @ values
-    n = values.shape[-3]
-    dest, same, neighbor = (np.moveaxis(a, -3, 0) for a in (values, same, neighbor))
-    s = decomp.n_shift % n
-    dest[s:] = same[: n - s]
-    dest[:s] = same[n - s :]
-    s = (decomp.n_shift + 1) % n
-    dest[s:] += neighbor[: n - s]
-    dest[:s] += neighbor[n - s :]
+    n, o = values.shape[-3:-1]
+    # One copy with cell 0 appended after the last cell: the 2(p+1) rows
+    # from cell j on hold source cells j and j + 1 (mod n), the (neighbor,
+    # same) pair of destination cell j + n_shift + 1.
+    ext = np.concatenate([values, values[..., :1, :, :]], axis=-3)
+    rows = ext.reshape(ext.shape[:-3] + ((n + 1) * o, ext.shape[-1]))
+    windows = np.swapaxes(sliding_window_view(rows, 2 * o, axis=-2)[..., ::o, :, :], -1, -2)
+    op = np.concatenate([pair.neighbor, pair.same], axis=-1)
+    j0 = (-decomp.n_shift - 1) % n
+    np.matmul(op, windows[..., j0:, :, :], out=values[..., : n - j0, :, :])
+    np.matmul(op, windows[..., :j0, :, :], out=values[..., n - j0 :, :, :])
     return values

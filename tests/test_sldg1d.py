@@ -5,12 +5,14 @@ from sldg_vlasov.basis import MAX_DEGREE, DGBasis
 from sldg_vlasov.sldg1d import (
     ABSORBING,
     PERIODIC,
+    ShiftDecomposition,
+    apply_update,
     decompose_shift,
     overlap_pair,
 )
 from sldg_vlasov.vsweep import sweep_pencil
 
-from oracle import apply_update_cells, projection_oracle
+from oracle import apply_update_cells, apply_update_two_products, projection_oracle
 
 
 def test_decompose_positive():
@@ -138,6 +140,29 @@ def test_apply_update_vs_oracle_random():
             got = sweep_pencil(vals, np.ones(n), disp, 1.0, bc, basis)
         expect = projection_oracle(vals, disp, 1.0, basis, bc)
         assert np.abs(got - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_apply_update_matches_two_products_on_strided_view(p, n):
+    # The x-advection hands apply_update a strided view of f (a run of
+    # rows of the x-major state), here with a leading batch axis too.
+    # Columns outside the view keep their bits.
+    rng = np.random.default_rng(1000 * p + n)
+    pair = overlap_pair(DGBasis(p), 0.37)
+    for n_shift in (-2 * n - 3, -n, -1, 0, 1, n, 3 * n + 2):
+        d = ShiftDecomposition(n_shift, 0.37)
+        a = rng.standard_normal((2, n * (p + 1), 40))
+        before = a.copy()
+        view = a[:, :, 5:17].reshape(2, n, p + 1, 12)
+        assert not view.flags.c_contiguous and np.shares_memory(view, a)
+        want = apply_update_two_products(view.copy(), d, pair)
+        assert apply_update(view, d, pair) is view
+        scale = np.abs(before[:, :, 5:17]).max()
+        assert np.abs(view - want).max() <= 1e-14 * scale
+        outside = np.ones(40, dtype=bool)
+        outside[5:17] = False
+        assert np.array_equal(a[:, :, outside], before[:, :, outside])
 
 
 def test_mass_conserved_periodic():
