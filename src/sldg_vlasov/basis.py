@@ -78,7 +78,14 @@ class DGBasis:
         """
         x = np.asarray(x, dtype=float)
         diffs = x[..., None] - self.nodes
-        return diffs[..., self._others].prod(axis=-1) * self._inv_denoms
+        # Basis function j is the product of diffs[..., m] over m != j,
+        # over denom_j.  Taken one factor at a time, a batch of points
+        # holds three arrays of the result's size, not p + 2.
+        out = diffs[..., self._others[:, 0]]
+        for k in range(1, self.degree):
+            out *= diffs[..., self._others[:, k]]
+        out *= self._inv_denoms
+        return out
 
     def _quadrature_mass(self) -> np.ndarray:
         v = self.eval_all(self.gauss_nodes)

@@ -1,19 +1,21 @@
 """Hybrid fast/slow SLDG sweep over one velocity direction of an AMR mesh.
 
-The sweep assembles, per pencil group and swept column, one dense linear
-operator on a pencil line and applies it to all of the group's lines with
-one batched product.  Conforming cells take their level's precomputed
-overlap pair at index offsets (the cost of the uniform-grid method);
-nonconforming cells at refinement boundaries take generalized overlap
-blocks against every source cell that intersects the foot interval.  A
-coarse cell lies in several pencils only when cells along its line are
-finer (see `pencil`).  It enters each of them prolonged to the GLL nodes
-of that pencil's transverse rectangle; its pencil results are
-L2-projected back onto its transverse basis and summed (weighted
-accumulation).  The restrictions of a cell's entries sum to the identity
-on its prolongations, so mass and every transverse moment of degree <= p
-are preserved, and a pencil cut into congruent pieces would sweep to the
-same result: the transfers commute with a pencil's operator.
+The sweep assembles, per pencil group and moving column, one dense linear
+operator on a pencil line, for all of a sweep's moving columns in one
+batch, then applies each column's operator to all of the group's lines,
+one batched product per block of columns.  Conforming cells take their
+level's precomputed overlap pair at index offsets (the cost of the
+uniform-grid method); nonconforming cells at refinement boundaries take
+generalized overlap blocks against every source cell that intersects the
+foot interval.  A coarse cell lies in several pencils only when cells
+along its line are finer (see `pencil`).  It enters each of them
+prolonged to the GLL nodes of that pencil's transverse rectangle; its
+pencil results are L2-projected back onto its transverse basis and
+summed (weighted accumulation).  The restrictions of a cell's entries
+sum to the identity on its prolongations, so mass and every transverse
+moment of degree <= p are preserved, and a pencil cut into congruent
+pieces would sweep to the same result: the transfers commute with a
+pencil's operator.
 
 The plan also fixes the row order of the velocity DOFs: each group's rows
 run by sweep position, then by line, so for every x column a group whose
@@ -305,9 +307,9 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
     identical cell layout (same coordinates, widths, levels) and the same
     sharing mask share their update operator and conforming flags for any
     speed, so their transverse lines are batched into one matrix product
-    per swept column.  Cells lying in several pencils get per-entry
-    transverse prolongation and restriction matrices (Kronecker products
-    of the 1D ones).  Raises SweepError unless the pencil weights of every
+    per block of swept columns.  Cells lying in several pencils get
+    per-entry transverse prolongation and restriction matrices (Kronecker
+    products of the 1D ones).  Raises SweepError unless the pencil weights of every
     cell sum to one.
     """
     pset = extract_pencils(mesh, 0) if pencils is None else pencils
@@ -462,10 +464,10 @@ def restrict_shared(block, entries, plan: SweepPlan) -> None:
             (sc.restrict @ part).reshape(n_c, n_tl, n_cols, o).transpose(2, 3, 0, 1))
 
 
-# Columns are swept this many at a time: the transfer products and the
-# operator assembly are batched over a block, and the working arrays stay a
-# few MB.  Of 8, 16, 32 and 64, 32 gave the fastest step on both benchmark
-# workloads without raising their peak memory.
+# Columns are swept this many at a time: the transfer products run once per
+# block with its columns folded into the matrix width, and the working
+# arrays stay a few MB.  Of 8, 16, 32 and 64, 32 gave the fastest step on
+# both benchmark workloads without raising their peak memory.
 _COLUMN_BLOCK = 32
 
 
@@ -476,19 +478,18 @@ def _column_blocks(cols):
             yield slice(b, min(b + _COLUMN_BLOCK, run.stop))
 
 
-def _sweep_block(block, speeds, dt, plan: SweepPlan, bc, force_slow):
+def _sweep_block(block, ops, plan: SweepPlan):
     """Sweep a C-contiguous (n_cols, n_dofs) block of x columns in place.
 
-    A group without shared cells multiplies a view of its rows.  Any other
-    group fills a working block from its runs and its shared entries,
-    multiplies it, and stores the results back to the same places.
+    `ops` holds each group's operators for the block's columns.  A group
+    without shared cells multiplies a view of its rows.  Any other group
+    fills a working block from its runs and its shared entries, multiplies
+    it, and stores the results back to the same places.
     """
     n_cols = block.shape[0]
     o = plan.basis.n_nodes
-    lm = _level_matrices(plan.basis, speeds, dt, plan.base_width, plan.n_levels)
     entries = prolong_shared(block, plan)
-    for g in plan.groups:
-        op = _pencil_operators(lm, speeds * dt, g, plan, bc, force_slow)
+    for g, op in zip(plan.groups, ops):
         shape = (n_cols, g.n_cells * o, g.n_lines)
         if not g.shared.size:
             block[:, g.rows] = (op @ block[:, g.rows].reshape(shape)).reshape(n_cols, -1)
@@ -511,13 +512,16 @@ def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
 
     `f` is float64, shaped (n_velocity_dofs, n_x_dofs) with rows in the
     plan's order, in any memory order; column ix moves with speed
-    speeds[ix] of the 1-D `speeds`.  Columns with exactly zero speed are
-    skipped, leaving their bits untouched.  The moving columns go in blocks
-    of consecutive ones, each a C-contiguous (n_cols, n_dofs) block of f.T:
-    a view when f.T is C-contiguous, else a copy stored back afterwards,
-    so every memory order runs the same products.  Every pencil group
-    assembles one operator per column and applies it to all of its lines
-    with one batched product.  Updates f in place and returns it.
+    speeds[ix] of the 1-D `speeds`, which must be finite.  Columns with
+    exactly zero speed are skipped, leaving their bits untouched.  Every
+    pencil group first assembles one operator per moving column, all in
+    one batch, so a bad speed or step raises before f is touched.  The
+    moving columns then go in blocks of consecutive ones, each a
+    C-contiguous (n_cols, n_dofs) block of f.T: a view when f.T is
+    C-contiguous, else a copy stored back afterwards, so every memory order
+    runs the same products.  Each group applies its block's operators to
+    all of its lines with one batched product.  Updates f in place and
+    returns it.
     """
     check_bc(bc)
     if getattr(f, "dtype", None) != np.float64:
@@ -529,13 +533,22 @@ def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
         raise SweepError(
             f"field shaped {f.shape}, expected ({plan.n_dofs}, {speeds.size})"
         )
-    cols = np.nonzero(speeds != 0.0)[0]
-    if cols.size == 0:
+    bad = np.flatnonzero(~np.isfinite(speeds))
+    if bad.size:
+        raise SweepError(f"speeds must be finite, got {speeds[bad[0]]} in column {bad[0]}")
+    moving = np.nonzero(speeds != 0.0)[0]
+    if moving.size == 0:
         return f
+    v = speeds[moving]
+    lm = _level_matrices(plan.basis, v, dt, plan.base_width, plan.n_levels)
+    ops = [_pencil_operators(lm, v * dt, g, plan, bc, force_slow) for g in plan.groups]
     ft = f.T
-    for cols in _column_blocks(cols):
+    k = 0  # moving columns swept so far: the blocks' offset into ops
+    for cols in _column_blocks(moving):
+        n = cols.stop - cols.start
         block = np.ascontiguousarray(ft[cols])  # a view of f when f.T is C-contiguous
-        _sweep_block(block, speeds[cols], dt, plan, bc, force_slow)
+        _sweep_block(block, [op[k:k + n] for op in ops], plan)
         if not ft.flags.c_contiguous:
             ft[cols] = block
+        k += n
     return f

@@ -75,6 +75,23 @@ def test_gauss_integrates_lagrange_products(p):
             assert abs(got - exact) <= 1e-14
 
 
+@pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
+def test_eval_all_matches_lagrange_product(p):
+    # The reference forms every factor x - x_m, m != j, at once and takes
+    # their product; eval_all multiplies them in the same order one at a
+    # time, so the bits agree, for points anywhere and any batch shape.
+    basis = DGBasis(p)
+    others = [[m for m in range(p + 1) if m != j] for j in range(p + 1)]
+    denoms = np.array([np.prod(basis.nodes[j] - basis.nodes[others[j]]) for j in range(p + 1)])
+    rng = np.random.default_rng(p)
+    for x in (rng.uniform(-3.0, 3.0, size=(50, p + 1)), rng.uniform(-1.0, 1.0, size=7), 0.37):
+        diffs = np.asarray(x)[..., None] - basis.nodes
+        want = diffs[..., others].prod(axis=-1) * (1.0 / denoms)
+        got = basis.eval_all(x)
+        assert got.shape == np.shape(x) + (p + 1,)
+        assert np.array_equal(got, want)
+
+
 def test_lagrange_interpolation_property():
     basis = DGBasis(3)
     vals = basis.eval_all(basis.nodes)

@@ -131,11 +131,15 @@ def test_sweep_pencil_matches_c_contiguous_sweep():
 
 
 # The most of f's size that one step may allocate at once.  The velocity
-# sweep holds about three copies of one column block (_COLUMN_BLOCK of the
-# 384 x columns here); the x-advection holds two products of one run of
-# equal-speed rows (at most two of the 4 (p+1) sweep positions).  Both
-# measured 26% of f on these configs.  A step that copied or permuted the
-# whole field would allocate at least f.nbytes.
+# sweep holds every group's operators for all moving columns of a sweep
+# (the 384 x columns here), and while it assembles a mixed group, that
+# group's slow-path overlap temporaries, about 2.5 times its operator;
+# its per-block working arrays (_COLUMN_BLOCK columns) are smaller.  The
+# x-advection holds two products of one run of equal-speed rows (at most
+# two of the 4 (p+1) sweep positions).  The per-step peak measured 0.155
+# (uniform) and 0.418 (amr) of f; with operators assembled per column
+# block it was 0.126 and 0.189.  A step that copied or permuted the whole
+# field would allocate at least f.nbytes.
 PEAK_SHARE = 0.5
 
 

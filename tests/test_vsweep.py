@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sldg_vlasov import vsweep
 from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import velocity_dof_coords, velocity_dof_weights
 from sldg_vlasov.pencil import PencilSet, extract_pencils
@@ -483,19 +484,46 @@ def test_advect_hybrid_vs_forced_slow(amr_setup):
     assert np.abs(fa - fb).max() <= 1e-12
 
 
-def test_advect_column_blocks_independent(amr_setup):
-    # Columns share a block's batched assembly and product, not their
-    # arithmetic: sweeping 20 columns (two blocks) at once matches sweeping
-    # each column alone.
-    basis, mesh, perm, plan, coords, weights = amr_setup
+def test_advect_column_blocks_independent(sweep_plans, monkeypatch):
+    # Columns share a sweep's batched assembly and a block's products, not
+    # their arithmetic.  Zero-speed columns at block edges and inside
+    # blocks shift every later block's offset into the sweep's operators;
+    # sweeping in blocks of 1, 5 or 1000 columns, or one column alone,
+    # matches the default blocks.  Blocks of other sizes fold other
+    # columns into the transfer products' width, so they may differ in the
+    # last bits.
+    plans = [(build_sweep_plan(build_mesh(3, 4, 1, 6.0), DGBasis(2)), "4^3+AMR1 p=2"),
+             (sweep_plans[4, 2][0], "4^3+AMR2 p=3")]
     rng = np.random.default_rng(71)
-    speeds = rng.uniform(-1.5, 1.5, size=20)
-    for bc in ("absorbing", "periodic"):
-        f = rng.standard_normal((plan.n_dofs, speeds.size))
-        together = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
-        for j in range(speeds.size):
-            alone = advect_velocity(f[:, j : j + 1].copy(), speeds[j : j + 1], 0.1, plan, bc=bc)
-            assert np.abs(alone[:, 0] - together[:, j]).max() <= 1e-14, (bc, j)
+    speeds = rng.uniform(-1.5, 1.5, size=100)
+    speeds[[0, 10, 33, 34, 64]] = 0.0
+    for plan, name in plans:
+        for bc in ("absorbing", "periodic"):
+            f = rng.standard_normal((plan.n_dofs, speeds.size))
+            tol = 1e-14 * np.abs(f).max()
+            default = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
+            for j in (1, 10, 40, 99):
+                alone = advect_velocity(f[:, j:j + 1].copy(), speeds[j:j + 1], 0.1, plan, bc=bc)
+                assert np.abs(alone[:, 0] - default[:, j]).max() <= tol, (name, bc, j)
+            for size in (1, 5, 1000):
+                monkeypatch.setattr(vsweep, "_COLUMN_BLOCK", size)
+                other = advect_velocity(f.copy(), speeds, 0.1, plan, bc=bc)
+                monkeypatch.undo()
+                assert np.abs(other - default).max() <= tol, (name, bc, size)
+
+
+def test_advect_rejects_nonfinite_speed_before_sweeping(amr_setup):
+    # A bad speed in a later block must not leave the earlier blocks swept.
+    plan = amr_setup[3]
+    rng = np.random.default_rng(83)
+    speeds = rng.uniform(-1.5, 1.5, size=70)
+    f = rng.standard_normal((plan.n_dofs, speeds.size))
+    before = f.copy()
+    for bad in (np.nan, np.inf):
+        speeds[50] = bad
+        with pytest.raises(SweepError, match="finite.* in column 50$"):
+            advect_velocity(f, speeds, 0.1, plan, bc="periodic")
+        assert np.array_equal(f, before)
 
 
 def test_advect_maxwellian_constant_field(amr_setup):
