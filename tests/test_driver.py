@@ -81,7 +81,7 @@ def test_initial_nonnegative():
 def test_initial_mass_matches_truncated_maxwellian():
     # m0 = L_x * (truncated Maxwellian mass)^dv, pinned by the erf oracle.
     sim = Simulation(SimConfig(dim=3, n_base=8, levels=0, degree=5, n_x=8, n_steps=1))
-    m0, m1, m2 = moments(sim.f, sim.vweights, sim.vcoords, sim.xgrid.dof_weights)
+    m0, m1, m2 = moments(sim.f, sim.moment_weights, sim.xgrid.dof_weights)
     expect = sim.config.length * erf(6.0 / np.sqrt(2.0)) ** 3
     assert abs(m0 - expect) / expect <= 1e-5
     assert abs(m0 - 4 * np.pi) / (4 * np.pi) <= 1e-5
@@ -91,7 +91,7 @@ def test_initial_mass_matches_truncated_maxwellian():
 def test_moments_zero_field():
     sim = Simulation(small_config())
     z = np.zeros_like(sim.f)
-    assert moments(z, sim.vweights, sim.vcoords, sim.xgrid.dof_weights) == (0.0, 0.0, 0.0)
+    assert moments(z, sim.moment_weights, sim.xgrid.dof_weights) == (0.0, 0.0, 0.0)
 
 
 def test_unperturbed_state_is_fixed_point():
@@ -174,7 +174,7 @@ def test_pending_record_moments_match_synced(key):
     for _ in range(3):
         rec = sim.step()
     sim.sync()
-    m0, m1, m2 = moments(sim.f, sim.vweights, sim.vcoords, sim.xgrid.dof_weights)
+    m0, m1, m2 = moments(sim.f, sim.moment_weights, sim.xgrid.dof_weights)
     assert abs(rec.m0 - m0) <= 1e-14 * abs(m0)
     assert abs(rec.m1 - m1) <= 1e-14 * abs(m0)
     assert abs(rec.m2 - m2) <= 1e-14 * abs(m2)

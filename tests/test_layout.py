@@ -132,21 +132,22 @@ def test_sweep_pencil_matches_c_contiguous_sweep():
 
 # The most of f's size that one step may allocate at once.  The velocity
 # sweep holds every group's operators for all moving columns of a sweep
-# (the 384 x columns here), and while it assembles a mixed group, that
-# group's slow-path overlap temporaries, about 2.5 times its operator;
-# its per-block working arrays (_COLUMN_BLOCK columns) are smaller.  The
-# x-advection holds two products of one run of equal-speed rows (at most
-# two of the 4 (p+1) sweep positions).  The per-step peak measured 0.155
-# (uniform) and 0.418 (amr) of f; with operators assembled per column
-# block it was 0.126 and 0.189.  A step that copied or permuted the whole
-# field would allocate at least f.nbytes.
+# (the x columns here), and while it assembles a mixed group, that group's
+# slow-path overlap temporaries; its per-block working arrays
+# (_COLUMN_BLOCK columns) are smaller.  The x-advection holds two products
+# of one run of equal-speed rows (at most two of the 4 (p+1) sweep
+# positions).  The per-step peak measured 0.126 (uniform), 0.259 (amr) and
+# 0.365 (two levels) of f: the more cells a mesh sends to the slow path,
+# the higher its peak.  A step that copied or permuted the whole field
+# would allocate at least f.nbytes.
 PEAK_SHARE = 0.5
 
 
 @pytest.mark.parametrize("config", [
     SimConfig(dim=3, n_base=4, levels=0, degree=3, n_x=128),
     SimConfig(dim=3, n_base=4, levels=1, degree=2, n_x=128, bc="periodic"),
-], ids=["uniform", "amr"])
+    SimConfig(dim=3, n_base=4, levels=2, degree=2, n_x=64, bc="periodic"),
+], ids=["uniform", "amr", "amr-two-levels"])
 def test_step_allocates_well_below_the_field(config):
     sim = Simulation(config)
     sim.step()

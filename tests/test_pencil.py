@@ -97,75 +97,86 @@ def test_pencil_invariants(n_base, levels, direction):
     assert counts.sum() == len(pset.cell_ids)
 
 
-def conforming_flags(pset):
-    """The sweep's conforming flags of every pencil entry, pencil by pencil."""
-    return np.concatenate([classify_conforming(pset.levels[pset.pencil_slice(q)])
-                           for q in range(pset.n_pencils)])
+def reach(pset):
+    """The sweep's same-level reach (before, after) of every pencil entry."""
+    pairs = [classify_conforming(pset.levels[pset.pencil_slice(q)])
+             for q in range(pset.n_pencils)]
+    return tuple(np.concatenate(side) for side in zip(*pairs))
 
 
 def test_classify_uniform_all_conforming():
+    # Every 8-cell pencil reaches its other 7 cells on both sides.
     mesh = build_mesh(3, 8, 0, 6.0)
-    assert conforming_flags(extract_pencils(mesh, 0)).all()
+    before, after = reach(extract_pencils(mesh, 0))
+    assert (before == 7).all() and (after == 7).all()
 
 
 def test_classify_amr_interface_nonconforming():
+    # A cell next to a level change inside its pencil reaches no cell on
+    # that side, and every other cell reaches at least its neighbor.
     mesh = build_mesh(3, 4, 1, 6.0)
     pset = extract_pencils(mesh, 0)
-    flags = conforming_flags(pset)
-    for q in range(pset.n_pencils):
-        sl = pset.pencil_slice(q)
-        lev = pset.levels[sl]
-        conf = flags[sl]
-        if (lev == lev[0]).all():
-            assert conf.all()
-        else:
-            # Every fine cell within two positions of a level change flags slow.
-            n = len(lev)
-            for k in range(n):
-                near_change = any(
-                    0 <= k + off < n and lev[k + off] != lev[k]
-                    for off in (-2, -1, 1, 2)
-                )
-                assert conf[k] == (not near_change)
-
-
-def test_classify_single_cell_pencil():
-    # A one-cell pencil always takes the slow path.
-    assert not classify_conforming(np.zeros(1, dtype=np.int64)).any()
-
-
-def test_classify_periodic_wraps():
-    # Periodic lookup wraps: uniform pencil stays fully conforming.
-    mesh = build_mesh(3, 4, 0, 6.0)
-    assert conforming_flags(extract_pencils(mesh, 0)).all()
-
-
-def in_range_flags(pset):
-    """Conforming flags from neighbors inside the pencil only, without wrapping.
-
-    A cell is conforming when every neighbor within two positions that lies
-    inside its pencil shares its level; single-cell pencils are not.
-    """
-    out = np.zeros(len(pset.levels), dtype=bool)
+    before, after = reach(pset)
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
         lev = pset.levels[sl]
         n = len(lev)
-        out[sl] = [
-            n > 1 and all(lev[k + off] == lev[k] for off in (-2, -1, 1, 2) if 0 <= k + off < n)
-            for k in range(n)
-        ]
-    return out
+        change = lev[1:] != lev[:-1]
+        assert ((after[sl][:-1] == 0) == change).all()
+        assert ((before[sl][1:] == 0) == change).all()
+        wrap_change = lev[0] != lev[-1]
+        assert (before[sl][0] == 0) == (wrap_change or n == 1)
+        assert (after[sl][-1] == 0) == (wrap_change or n == 1)
+
+
+def test_classify_single_cell_pencil():
+    # A one-cell pencil reaches no cell, so it takes the slow path at every
+    # shift: a periodic shift reads its cell as both sources, which index
+    # arithmetic does not add up.
+    before, after = classify_conforming(np.zeros(1, dtype=np.int64))
+    assert before.tolist() == [0] and after.tolist() == [0]
+
+
+def test_classify_periodic_wraps():
+    # The count wraps at the pencil ends: the end cells of a uniform pencil
+    # reach every other cell too.
+    mesh = build_mesh(3, 4, 0, 6.0)
+    before, after = reach(extract_pencils(mesh, 0))
+    assert (before == 3).all() and (after == 3).all()
+
+
+def in_range_reach(lev):
+    """Same-level reach counted by walking, without wrapping at the ends."""
+    n = len(lev)
+    before = [next((j for j in range(1, k + 1) if lev[k - j] != lev[k]), k + 1) - 1
+              for k in range(n)]
+    after = [next((j for j in range(1, n - k) if lev[k + j] != lev[k]), n - k) - 1
+             for k in range(n)]
+    return np.array(before), np.array(after)
+
+
+def assert_reach_wraps(lev):
+    """The wrapped reach of a pencil is the in-range reach of its middle copy
+    when three copies stand end to end, capped at n-1."""
+    n = len(lev)
+    for got, ref in zip(classify_conforming(lev), in_range_reach(np.tile(lev, 3))):
+        assert np.array_equal(got, np.minimum(ref[n:2 * n], n - 1)), lev
 
 
 @pytest.mark.parametrize("n_base,levels", [(4, 1), (4, 2), (8, 1), (8, 2), (3, 1), (5, 2), (6, 3)])
 def test_classify_wrapped_equals_in_range_on_built_meshes(n_base, levels):
-    # build_mesh refines symmetrically about the origin, so every pencil's
-    # level sequence is a palindrome and wrapping changes no flag.
     mesh = build_mesh(3, n_base, levels, 6.0)
     for d in range(3):
         pset = extract_pencils(mesh, d)
-        assert np.array_equal(conforming_flags(pset), in_range_flags(pset)), d
+        for q in range(pset.n_pencils):
+            assert_reach_wraps(pset.levels[pset.pencil_slice(q)])
+
+
+@pytest.mark.parametrize("lev", [[0, 1, 1, 0, 1], [2, 2, 1, 0, 0, 1, 2], [1, 1], [0, 1],
+                                 [3, 0, 0, 0, 3, 3, 1]])
+def test_classify_wrapped_equals_in_range_on_unbalanced_pencils(lev):
+    # Level sequences no built mesh makes: asymmetric, or not 2:1 balanced.
+    assert_reach_wraps(np.array(lev))
 
 
 def test_pencil_set_is_frozen():

@@ -21,6 +21,7 @@ from sldg_vlasov.vsweep import (
     advect_velocity,
     build_sweep_plan,
     classify_conforming,
+    fast_cells,
     precompute_level_matrices,
     prolong_shared,
     restrict_shared,
@@ -72,8 +73,8 @@ def sweep_plans():
     # Direction-0 plans on the 4^3+AMR1, 4^3+AMR2 and 8^3+AMR1 meshes, p=3,
     # with the mesh, the velocity DOF coordinates and the quadrature
     # weights in the plan's row order; one plan per mesh serves both
-    # boundary modes.  Only the 8^3 mesh has conforming cells in pencils
-    # that change level.
+    # boundary modes.  Every mesh has pencils that change level, with cells
+    # whose same-level reach takes the fast path at small shifts.
     basis = DGBasis(3)
     out = {}
     for n_base, levels in ((4, 1), (4, 2), (8, 1)):
@@ -229,11 +230,15 @@ def test_sweep_zero_input_zero_output():
 
 
 def test_sweep_hybrid_matches_forced_slow_on_pencil():
-    # Six fine cells between coarse ones: the middle two are conforming, so
-    # the hybrid sweep takes the fast path there.
+    # Six fine cells between coarse ones, at integer shift 0 on both levels:
+    # every cell with a same-level cell right before it takes the fast path,
+    # the first coarse cell too, whose reach wraps to the last.
     basis = DGBasis(3)
     widths = np.array([3.0] + [1.5] * 6 + [3.0])
-    assert classify_conforming(np.array([0, 1, 1, 1, 1, 1, 1, 0])).any()
+    before, _ = classify_conforming(np.array([0, 1, 1, 1, 1, 1, 1, 0]))
+    assert before.tolist() == [1, 0, 1, 2, 3, 4, 5, 0]
+    lm = precompute_level_matrices(basis, 0.9, 0.2, 3.0, 2)
+    assert lm.n_shift.tolist() == [0, 0]
     rng = np.random.default_rng(47)
     vals = rng.standard_normal((3, 8, 4))
     hybrid = sweep_pencil(vals, widths, 0.9, 0.2, "absorbing", basis)
@@ -263,18 +268,35 @@ def test_sweep_pencil_leaves_input_unchanged(shape):
     assert np.array_equal(vals, before)
 
 
+def test_fast_cells_follow_the_reach():
+    # Two coarse cells around four fine ones: a cell is fast at n_shift 0
+    # when it reaches a same-level cell before it, and at -1 when it reaches
+    # one after it; the coarse cells reach each other across the wrap.
+    reach = classify_conforming(np.array([0, 1, 1, 1, 1, 0]))
+    assert np.flatnonzero(fast_cells(*reach, 0)).tolist() == [0, 2, 3, 4]
+    assert np.flatnonzero(fast_cells(*reach, -1)).tolist() == [1, 2, 3, 5]
+    single = classify_conforming(np.zeros(1, dtype=np.int64))
+    shifts = np.arange(-8, 8)[:, None]
+    assert not fast_cells(*single, shifts).any()
+    for n in range(2, 7):
+        fast = fast_cells(*classify_conforming(np.full(n, 2)), shifts)
+        window = (shifts >= -(n - 1)) & (shifts <= n - 2)
+        assert np.array_equal(fast, np.broadcast_to(window, fast.shape)), n
+
+
 @pytest.mark.parametrize("bc", ["absorbing", "periodic"])
 @pytest.mark.parametrize("n_shift", [-3, -2, 1, 2])
 def test_sweep_fast_window_edges(bc, n_shift):
-    # Five fine cells between two coarse ones: only the middle cell is
-    # conforming, and its third neighbors change level on both sides.  Its
-    # sources s-n and s-n-1 stay inside its same-level neighborhood for
-    # n = -2 and 1 (fast path) and reach a coarse cell for n = -3 and 2,
-    # where index arithmetic would read the coarse cell as a fine one.
+    # Five fine cells between two coarse ones: the middle cell reaches two
+    # fine cells on each side, and its third neighbors are coarse.  Its
+    # sources s-n and s-n-1 stay inside its same-level reach for n = -2 and
+    # 1 (fast path) and reach a coarse cell for n = -3 and 2, where index
+    # arithmetic would read the coarse cell as a fine one.
     basis = DGBasis(3)
     widths = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
-    conforming = classify_conforming(np.array([0, 1, 1, 1, 1, 1, 0]))
-    assert conforming.tolist() == [False, False, False, True, False, False, False]
+    before, after = classify_conforming(np.array([0, 1, 1, 1, 1, 1, 0]))
+    assert before.tolist() == [1, 0, 1, 2, 3, 4, 0]
+    assert after.tolist() == [0, 4, 3, 2, 1, 0, 1]
     dt = 0.1
     speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
     lm = precompute_level_matrices(basis, speed, dt, 2.0, 2)
@@ -289,14 +311,16 @@ def test_sweep_fast_window_edges(bc, n_shift):
 @pytest.mark.parametrize("bc", ["absorbing", "periodic"])
 @pytest.mark.parametrize("n_shift", [-2, -1, 0, 1])
 def test_sweep_one_plan_serves_both_modes(bc, n_shift):
-    # An asymmetric pencil: six fine cells, then two coarse ones.  Cells 0
-    # and 1 have coarse neighbors only across the periodic wrap, so the
-    # wrapped rule flags them slow, which keeps periodic sweeps exact, and
-    # the stricter flags stay exact for absorbing sweeps.
+    # An asymmetric pencil: six fine cells, then two coarse ones.  Cell 0
+    # has a coarse neighbor only across the periodic wrap, so its wrapped
+    # reach is 0 before it, which keeps periodic sweeps exact; the coarse
+    # cells reach each other across the pencil end, and absorbing sweeps
+    # zero the sources there.
     basis = DGBasis(3)
     widths = np.array([1.0] * 6 + [2.0] * 2)
-    conforming = classify_conforming(np.array([1, 1, 1, 1, 1, 1, 0, 0]))
-    assert conforming.tolist() == [False, False, True, True, False, False, False, False]
+    before, after = classify_conforming(np.array([1, 1, 1, 1, 1, 1, 0, 0]))
+    assert before.tolist() == [0, 1, 2, 3, 4, 5, 0, 1]
+    assert after.tolist() == [5, 4, 3, 2, 1, 0, 1, 0]
     dt = 0.1
     speed = (n_shift + 0.37) / dt  # in fine cells (width 1) per step
     lm = precompute_level_matrices(basis, speed, dt, 2.0, 2)
@@ -342,6 +366,28 @@ def test_sweep_random_balanced_pencils(depths, degree, bc, shifts, seed):
         assert np.abs(hybrid - slow).max() <= 1e-12, shift
         if bc == "periodic":
             assert abs((quad * hybrid).sum() - (quad * vals).sum()) <= 1e-13 * scale, shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.integers(0, 2), min_size=1, max_size=9),
+       degree=st.integers(1, 4), bc=st.sampled_from(["absorbing", "periodic"]),
+       n_shift=st.integers(-5, 4), frac=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       data=st.data())
+def test_sweep_random_unbalanced_pencils(levels, degree, bc, n_shift, frac, data):
+    # Random levels with no 2:1 balance, on pencils of 1-9 cells: at an
+    # integer shift of -5 to 4 cells of one of its levels, exact or with a
+    # fraction, the hybrid sweep matches the slow path.
+    basis = DGBasis(degree)
+    widths = 2.0 ** -np.array(levels)
+    h = data.draw(st.sampled_from(sorted(set(widths.tolist()))))
+    dt = 0.25  # speeds and displacements stay exact in binary
+    speed = (n_shift + frac) * h / dt
+    vals = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (2, len(widths), basis.n_nodes))
+    args = (widths, speed, dt, bc, basis)
+    hybrid = sweep_pencil(vals, *args)
+    slow = sweep_pencil(vals, *args, force_slow=True)
+    assert np.abs(hybrid - slow).max() <= 1e-12
 
 
 def test_sweep_linearity():
@@ -591,9 +637,10 @@ _speeds = st.one_of(
        speeds=st.lists(_speeds, min_size=1, max_size=20), seed=st.integers(0, 2**32 - 1))
 def test_advect_batched_sweep_properties(sweep_plans, mesh, bc, speeds, seed):
     # Random column blocks (zero speeds split the moving runs) with shifts of
-    # many cells: conforming cells take the fast path only for integer shifts
-    # in [-2, 1] at their level, and every larger shift, which could carry
-    # their sources across a level change, goes to the slow path.
+    # many cells: a cell takes the fast path only while its sources and the
+    # cells between them and it share its level, and every larger shift,
+    # which would carry its sources across a level change, goes to the slow
+    # path.
     plan, _, _, weights = sweep_plans[mesh]
     speeds = np.array(speeds)
     f = np.random.default_rng(seed).random((plan.n_dofs, speeds.size))
