@@ -10,23 +10,22 @@ index offsets (the cost of the uniform-grid method); the other cells,
 those whose foot crosses a refinement boundary, take generalized overlap
 blocks against every source cell that intersects the foot interval.  A
 coarse cell lies in several pencils only when cells along its line are
-finer (see `pencil`).  It enters each of them
-prolonged to the GLL nodes of that pencil's transverse rectangle; its
-pencil results are L2-projected back onto its transverse basis and
-summed (weighted accumulation).  The restrictions of a cell's entries
-sum to the identity on its prolongations, so mass and every transverse
-moment of degree <= p are preserved, and a pencil cut into congruent
-pieces would sweep to the same result: the transfers commute with a
-pencil's operator.
+finer (see `pencil`).  It enters each of them prolonged to the GLL nodes
+of that pencil's transverse rectangle; its pencil results are
+L2-projected back onto its transverse basis and summed (weighted
+accumulation).  The restrictions sum to the identity on the
+prolongations, so mass and every transverse moment of degree <= p are
+preserved, and the transfers commute with a pencil's operator.
 
 The plan also fixes the row order of the velocity DOFs: each group's rows
 run by sweep position, then by line, so for every x column a group whose
 cells lie in no other pencil is a contiguous (positions, lines) matrix
-that the operator multiplies in place.  Sharing is part of a group's
-layout: all of its pencils share the cells at the same positions.  Shared
-cells keep one order, by pencil count, then extent along the sweep axis,
-so each class of equal count and extent prolongs and restricts its cells
-with one batched product.
+that the operator multiplies in place.  Shared cells' rows come last, in
+classes of equal extent along the sweep axis, node-major, cells in
+Z-order; a group with shared cells orders its pencils in Z-order too, so
+each run of a class's cells, each in k consecutive pencils of the group,
+is prolonged straight from f into the group's working block and
+restricted straight back with one batched product each.
 """
 from __future__ import annotations
 
@@ -231,8 +230,8 @@ class _PencilGroup:
     (owned) and shares the cells at the others.  Owned positions go as
     runs of consecutive positions: a run (positions, rows) covers working
     rows `positions` and is stored in f at `rows`, shaped (cells, p+1,
-    lines) per x column.  Shared positions hold shared entries, indexed
-    into the sweep's entry buffer.  `before` and `after` are each cell's
+    lines) per x column.  Shared positions are filled and emptied by the
+    group's transfer slots.  `before` and `after` are each cell's
     same-level reach (`classify_conforming`), which picks the cells that
     take the fast path at each shift.
     """
@@ -246,8 +245,7 @@ class _PencilGroup:
     n_cells: int
     rows: slice               # all of the group's owned rows
     runs: tuple
-    shared: np.ndarray        # (n_s,) cell positions of the shared entries ...
-    entries: np.ndarray       # ... (n_s, pencils) their indices in the entry buffer
+    slots: tuple              # _Slot, in restriction order
 
     @property
     def conforming(self) -> np.ndarray:
@@ -259,13 +257,24 @@ class _PencilGroup:
 
 
 @dataclass(frozen=True)
-class _SharedClass:
-    """Shared cells lying in the same number k of pencils, with equal extent."""
+class _Slot:
+    """Shared cells at one position of a group, each in k consecutive pencils.
 
-    rows: slice               # their values, shaped (p+1, cells, n_tl) per x column
-    entries: slice            # their shared entries, k consecutive ones per cell
-    prolong: np.ndarray       # (cells, k, n_tl, n_tl) transverse prolongations
-    restrict: np.ndarray      # (cells, n_tl, k*n_tl): the k entry restrictions side by side
+    The cells are `cells` of the class stored in f's rows `rows`, shaped
+    (p+1, class cells, n_tl) per x column.  Prolonged to the GLL nodes of
+    their pencils' transverse rectangles, they fill the working rows
+    `work` on the lines `lines`.  The L2 projection of the results back
+    onto their transverse basis overwrites their values when `first` (no
+    earlier slot holds them) and adds to them otherwise.
+    """
+
+    work: slice
+    lines: slice
+    rows: slice
+    cells: slice
+    prolong: np.ndarray       # (cells, 1, n_tl, k*n_tl): the k prolongations, transposed
+    restrict: np.ndarray      # (cells, 1, k*n_tl, n_tl): the k restrictions, transposed
+    first: bool
 
 
 @dataclass
@@ -277,12 +286,11 @@ class SweepPlan:
     of lines at one sweep position is contiguous, so equal-speed rows sit
     together and a group with no shared cell sweeps its rows in place.
     The rows of cells lying in several pencils (shared cells) come last,
-    ordered by pencil count, then extent along the sweep axis, then id,
-    in classes of equal count and extent (equal speeds at each node).  A
-    shared entry (a shared cell in one of its pencils) holds the cell's
-    polynomial prolonged to the GLL nodes of that pencil's transverse
-    rectangle; after the sweep, the entries of each shared cell are
-    L2-projected back onto its transverse basis and summed.
+    in classes of equal extent along the sweep axis (equal speeds at each
+    node), each shaped (p+1, cells, n_tl) with its cells in Z-order.  The
+    pencils of a group with shared cells are in Z-order too, so its
+    transfer slots (`_Slot`) move runs of a class's cells between f and
+    the group's working block.
     """
 
     direction: int
@@ -293,10 +301,8 @@ class SweepPlan:
     n_levels: int
     n_dofs: int
     n_tl: int                 # transverse lines per pencil
-    n_entries: int
     order: np.ndarray
     groups: list
-    shared: tuple             # _SharedClass, in row and entry order
 
 
 def _transfer_1d(basis, sub_lo, sub_w, cell_lo, cell_w, tol):
@@ -321,6 +327,16 @@ def _transfer_1d(basis, sub_lo, sub_w, cell_lo, cell_w, tol):
     return prolong, restrict
 
 
+def _z_order(lo, radius, finest):
+    """Z-order (Morton) codes of lower corners `lo`, shaped (n, axes), on the grid
+    of spacing `finest` from -radius.  On a forest of octrees a cell's box is an
+    aligned power-of-two square of that grid: the corners inside it have
+    consecutive codes."""
+    ij = np.round((lo + radius) / finest).astype(np.int64)[:, :, None]
+    n_axes, bit = ij.shape[1], np.arange(int(ij.max(initial=0)).bit_length())
+    return (((ij >> bit) & 1) << (bit * n_axes + np.arange(n_axes)[:, None])).sum(axis=(1, 2))
+
+
 def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
                      pencils: PencilSet | None = None) -> SweepPlan:
     """Plan the sweep of the mesh along the direction of its pencils.
@@ -331,8 +347,8 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
     speed, so their transverse lines are batched into one matrix product
     per block of swept columns.  Cells lying in several pencils get
     per-entry transverse prolongation and restriction matrices (Kronecker
-    products of the 1D ones).  Raises SweepError unless the pencil weights of every
-    cell sum to one.
+    products of the 1D ones), gathered into transfer slots.  Raises
+    SweepError unless the pencil weights of every cell sum to one.
     """
     pset = extract_pencils(mesh, 0) if pencils is None else pencils
     perm = build_permutation(basis, mesh.dim)
@@ -352,19 +368,14 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
             f"with total weight {wsum[c]:.6g}, expected 1"
         )
 
-    # Shared entries by pencil count, extent along the sweep axis, cell id
-    # and pencil (lexsort is stable): a cell's entries follow one another.
-    count = np.bincount(pset.cell_ids, minlength=mesh.n_cells)[pset.cell_ids]
-    shared = np.nonzero(count > 1)[0]
+    # Transfers of the shared entries (a shared cell in one of its pencils),
+    # transposed: line t' of the cell to line t of the pencil at [t', t].
+    count = np.bincount(pset.cell_ids, minlength=mesh.n_cells)
+    is_shared = count[pset.cell_ids] > 1
+    shared = np.flatnonzero(is_shared)
     cells = pset.cell_ids[shared]
-    shared = shared[np.lexsort((cells, mesh.width[cells, d], mesh.lo[cells, d], count[shared]))]
-    n_shared = len(shared)
-    slot = np.full(len(pset.cell_ids), -1, dtype=np.int64)
-    slot[shared] = np.arange(n_shared)
-    cells = pset.cell_ids[shared]
-
-    prolong = np.ones((n_shared, n_tl, n_tl))
-    restrict = np.ones((n_shared, n_tl, n_tl))
+    prolong = np.ones((len(shared), n_tl, n_tl))
+    restrict = np.ones((len(shared), n_tl, n_tl))
     tol = 1e-9 * mesh.base_width
     pencil_of = np.repeat(np.arange(pset.n_pencils), np.diff(pset.offsets))[shared]
     t_dims = [t for t in range(mesh.dim) if t != d]
@@ -373,34 +384,83 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
                               mesh.lo[cells, t], mesh.width[cells, t], tol)
         # Each line's node on axis t, as the tensor layout places it.
         node = perm.forward[lines[:, 0], t]
-        prolong *= p1[:, node[:, None], node]
-        restrict *= r1[:, node[:, None], node]
+        prolong *= p1[:, node, node[:, None]]
+        restrict *= r1[:, node, node[:, None]]
+
+    # Shared cells' rows, after every group's runs: classes of equal extent
+    # along the sweep axis, each shaped (p+1, cells, n_tl) with its cells in Z-order.
+    finest = mesh.base_width / 2.0 ** mesh.levels.max()
+    cells = np.flatnonzero(count > 1)
+    cells = cells[np.lexsort((_z_order(mesh.lo[cells][:, t_dims], mesh.radius, finest),
+                              mesh.width[cells, d], mesh.lo[cells, d]))]
+    lo, width = mesh.lo[cells, d], mesh.width[cells, d]
+    starts = np.append(True, (lo[1:] != lo[:-1]) | (width[1:] != width[:-1]))
+    bounds = np.append(np.flatnonzero(starts), len(cells))
+    cls = np.zeros(mesh.n_cells, dtype=np.int64)      # class of each shared cell
+    cls[cells] = np.cumsum(starts) - 1
+    at = np.zeros(mesh.n_cells, dtype=np.int64)       # its index in the class
+    at[cells] = np.arange(len(cells)) - bounds[cls[cells]]
+    class_rows = n_dofs + (bounds - len(cells)) * n_local  # each class's first row
+    seen = np.zeros(mesh.n_cells, dtype=bool)         # restricted by an earlier slot
 
     grouped: dict = {}
     for q in range(pset.n_pencils):
         sl = pset.pencil_slice(q)
         key = (pset.levels[sl].tobytes(), pset.lowers[sl].tobytes(),
-               pset.widths[sl].tobytes(), (slot[sl] >= 0).tobytes())
+               pset.widths[sl].tobytes(), is_shared[sl].tobytes())
         grouped.setdefault(key, []).append(q)
 
     # Consecutive parts of the row order: cell-local DOF ids shaped
-    # (cells, p+1, pencils, n_tl) per run, (p+1, cells, n_tl) per class.
+    # (cells, p+1, pencils, n_tl) per run.
     order_parts = []
     n_rows = 0
     groups = []
     for qs in grouped.values():
+        qs = np.array(qs)
         sl0 = pset.pencil_slice(qs[0])
         n_cells = sl0.stop - sl0.start
+        mixed = is_shared[sl0]
+        if mixed.any():
+            qs = qs[np.argsort(_z_order(pset.t_lowers[qs], mesh.radius, finest), kind="stable")]
         entries = pset.offsets[qs][:, None] + np.arange(n_cells)
-        is_shared = slot[entries[0]] >= 0
         group_start = n_rows
         runs = []
-        for c in index_runs(np.flatnonzero(~is_shared)):
+        for c in index_runs(np.flatnonzero(~mixed)):
             part = pset.cell_ids[entries[:, c]].T[:, None, :, None] * n_local + lines.T[:, None]
             order_parts.append(part.ravel())
             runs.append((slice(c.start * o, c.stop * o), slice(n_rows, n_rows + part.size)))
             n_rows += part.size
-        positions = np.flatnonzero(is_shared)
+        slots = []
+        if mixed.any():
+            # Runs of consecutive pencils with one cell, shared position after
+            # shared position.  A slot takes consecutive runs of one length,
+            # class (so one position) and `first` whose cells follow one another
+            # in their class.
+            positions, ent = np.flatnonzero(mixed), entries[:, mixed].T.ravel()
+            ids = pset.cell_ids[ent]
+            cuts = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
+            k = np.append(cuts[1:], len(ids)) - cuts
+            c = ids[cuts]
+            by_cell = np.argsort(c, kind="stable")
+            first = ~seen[c]
+            first[by_cell[1:][c[by_cell[1:]] == c[by_cell[:-1]]]] = False  # a cell's later runs
+            seen[c] = True
+            key = np.stack([k, cls[c], first, at[c] - np.arange(len(c))])
+            new = np.flatnonzero(np.append(True, (key[:, 1:] != key[:, :-1]).any(axis=0)))
+            for a, b in zip(new, np.append(new[1:], len(c))):
+                e = np.searchsorted(shared, ent[cuts[a]:cuts[b - 1] + k[b - 1]])
+                s = int(positions[cuts[a] // len(qs)])
+                q0, n_c = cuts[a] % len(qs), b - a
+                slots.append(_Slot(
+                    work=slice(s * o, (s + 1) * o),
+                    lines=slice(int(q0) * n_tl, int(q0 + len(e)) * n_tl),
+                    rows=slice(int(class_rows[cls[c[a]]]), int(class_rows[cls[c[a]] + 1])),
+                    cells=slice(int(at[c[a]]), int(at[c[a]]) + n_c),
+                    prolong=prolong[e].reshape(n_c, -1, n_tl, n_tl).transpose(0, 2, 1, 3)
+                    .reshape(n_c, 1, n_tl, -1),
+                    restrict=restrict[e].reshape(n_c, 1, -1, n_tl),
+                    first=bool(first[a]),
+                ))
         before, after = classify_conforming(pset.levels[sl0])
         groups.append(
             _PencilGroup(
@@ -413,29 +473,11 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
                 n_cells=n_cells,
                 rows=slice(group_start, n_rows),
                 runs=tuple(runs),
-                shared=positions,
-                entries=slot[entries[:, positions]].T,
+                slots=tuple(slots),
             )
         )
-
-    classes = []
-    key = np.stack([count[shared], mesh.lo[cells, d], mesh.width[cells, d]], axis=1)
-    first = np.ones(n_shared, dtype=bool)
-    first[1:] = (key[1:] != key[:-1]).any(axis=1)
-    bounds = np.append(np.flatnonzero(first), n_shared)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        k = int(count[shared[a]])
-        part = cells[None, a:b:k, None] * n_local + lines.T[:, None, :]
-        order_parts.append(part.ravel())
-        n_c = part.shape[1]
-        classes.append(_SharedClass(
-            rows=slice(n_rows, n_rows + part.size),
-            entries=slice(int(a), int(b)),
-            prolong=prolong[a:b].reshape(n_c, k, n_tl, n_tl),
-            restrict=restrict[a:b].reshape(n_c, k, n_tl, n_tl)
-            .transpose(0, 2, 1, 3).reshape(n_c, n_tl, k * n_tl),
-        ))
-        n_rows += part.size
+        order_parts.append((cells[None, a:b, None] * n_local + lines.T[:, None, :]).ravel())
 
     return SweepPlan(
         direction=d,
@@ -446,53 +488,16 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
         n_levels=int(mesh.levels.max()) + 1,
         n_dofs=n_dofs,
         n_tl=n_tl,
-        n_entries=n_shared,
         order=np.concatenate(order_parts),
         groups=groups,
-        shared=tuple(classes),
     )
-
-
-def prolong_shared(block, plan: SweepPlan) -> np.ndarray:
-    """Shared entries of the block's columns, shaped (n_entries, n_tl, n_cols, p+1).
-
-    `block` is a C-contiguous (n_cols, n_dofs) block of x columns in plan
-    row order.  The prolongation runs once for the whole block: one batched
-    product per class of shared cells, with the columns folded into the
-    matrix width.
-    """
-    n_cols = block.shape[0]
-    o = plan.basis.n_nodes
-    n_tl = plan.n_tl
-    entries = np.empty((plan.n_entries, n_tl, n_cols, o))
-    for sc in plan.shared:
-        n_c, k = sc.prolong.shape[:2]
-        values = block[:, sc.rows].reshape(n_cols, o, n_c, n_tl).transpose(2, 3, 0, 1)
-        np.matmul(sc.prolong, values.reshape(n_c, 1, n_tl, n_cols * o),
-                  out=entries[sc.entries].reshape(n_c, k, n_tl, n_cols * o))
-    return entries
-
-
-def restrict_shared(block, entries, plan: SweepPlan) -> None:
-    """Store each shared cell's restricted entries into its rows of `block`.
-
-    Each shared cell receives the sum of its entries' restrictions, the L2
-    projection of its piecewise pencil results onto its transverse basis.
-    Rows of cells lying in one pencil are not touched.
-    """
-    _, n_tl, n_cols, o = entries.shape
-    for sc in plan.shared:
-        n_c, _, k_lines = sc.restrict.shape
-        part = entries[sc.entries].reshape(n_c, k_lines, n_cols * o)
-        block[:, sc.rows].reshape(n_cols, o, n_c, n_tl)[...] = (
-            (sc.restrict @ part).reshape(n_c, n_tl, n_cols, o).transpose(2, 3, 0, 1))
 
 
 # Columns are swept this many at a time.  The operators are assembled once
 # per sweep, so the block size sets only the working set: the block of f,
-# its products and the shared entries.  A 32-column block of f is 2.0 MB on
-# the q3-4-1 mesh and 3.5 MB on q5-4-0, as large as a 2 MB L2 cache or
-# larger; 8 columns keep it well inside.  One sweep of the state after 3
+# its products and the mixed groups' working blocks.  A 32-column block of
+# f is 2.0 MB on the q3-4-1 mesh and 3.5 MB on q5-4-0, as large as a 2 MB
+# L2 cache or larger; 8 columns keep it well inside.  One sweep of the state after 3
 # steps (ms, one BLAS thread on a 2-core Xeon VM, median of 7) at 4/8/16/32
 # columns: q5-4-0 2.9-3.1/3.1/3.7-3.8/3.7-3.8, q3-4-1 with periodic v
 # 4.8/4.5/4.8-4.9/5.2, q3-4-2 with periodic v 10.3-10.4/10.6/10.8/11.3.
@@ -511,27 +516,42 @@ def _sweep_block(block, ops, plan: SweepPlan):
 
     `ops` holds each group's operators for the block's columns.  A group
     without shared cells multiplies a view of its rows.  Any other group
-    fills a working block from its runs and its shared entries, multiplies
-    it, and stores the results back to the same places.
+    fills a working block from its runs and its slots' prolonged cells,
+    multiplies it, and stores its runs back and its slots' restrictions
+    into the cells' rows.  A cell can feed several groups, so every slot
+    prolongs before any slot restricts.
     """
     n_cols = block.shape[0]
-    o = plan.basis.n_nodes
-    entries = prolong_shared(block, plan)
-    for g, op in zip(plan.groups, ops):
-        shape = (n_cols, g.n_cells * o, g.n_lines)
-        if not g.shared.size:
+    o, n_tl = plan.basis.n_nodes, plan.n_tl
+
+    # Slot views shaped (cells, p+1, n_cols, n_tl) in block and (cells, p+1,
+    # n_cols, k*n_tl) in a working block: one product per cell and node.
+    def cells(s):
+        return block[:, s.rows].reshape(n_cols, o, -1, n_tl)[:, :, s.cells].transpose(2, 1, 0, 3)
+
+    def lines(work, s):
+        return work[:, s.work, s.lines].reshape(n_cols, o, len(s.prolong), -1).transpose(2, 1, 0, 3)
+
+    works = []
+    for g in plan.groups:
+        works.append(np.empty((n_cols, g.n_cells * o, g.n_lines)) if g.slots else None)
+        for s in g.slots:
+            np.matmul(cells(s), s.prolong, out=lines(works[-1], s))
+    for g, op, work in zip(plan.groups, ops, works):
+        if work is None:
+            shape = (n_cols, g.n_cells * o, g.n_lines)
             block[:, g.rows] = (op @ block[:, g.rows].reshape(shape)).reshape(n_cols, -1)
             continue
-        work = np.empty(shape)
         for positions, rows in g.runs:
             work[:, positions] = block[:, rows].reshape(n_cols, -1, g.n_lines)
-        slots = work.reshape(n_cols, g.n_cells, o, -1, plan.n_tl)
-        slots[:, g.shared] = entries[g.entries].transpose(3, 0, 4, 1, 2)
         out = op @ work
         for positions, rows in g.runs:
             block[:, rows] = out[:, positions].reshape(n_cols, -1)
-        entries[g.entries] = out.reshape(slots.shape)[:, g.shared].transpose(1, 3, 4, 0, 2)
-    restrict_shared(block, entries, plan)
+        for s in g.slots:
+            if s.first:
+                np.matmul(lines(out, s), s.restrict, out=cells(s))
+            else:
+                cells(s)[...] += lines(out, s) @ s.restrict
 
 
 def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,

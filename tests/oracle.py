@@ -5,6 +5,7 @@ import numpy as np
 
 from sldg_vlasov.pencil import PencilSet
 from sldg_vlasov.sldg1d import PERIODIC, apply_update, check_bc
+from sldg_vlasov.vsweep import sweep_pencil
 
 
 def cartesian_pencils(mesh, direction: int) -> PencilSet:
@@ -52,6 +53,51 @@ def cartesian_pencils(mesh, direction: int) -> PencilSet:
         t_lowers=t_lowers,
         t_widths=t_widths,
     )
+
+
+def weighted_accumulation_sweep(f, mesh, basis, pencils: PencilSet, speeds, dt, bc):
+    """Reference for vsweep.advect_velocity: one pencil at a time, no batching.
+
+    `f` is shaped (n_dofs, n_cols) in cell-local DOF order (cell*(p+1)^dim
+    + local id, local id = sum of node_a (p+1)^a).  Every cell of a pencil
+    is evaluated with its tensor basis at the GLL nodes of the pencil's
+    transverse rectangle, every line is swept by `sweep_pencil`, and each
+    cell's line results are L2-projected back onto its transverse basis by
+    Gauss quadrature over the rectangle and summed over its pencils.
+    Returns the swept field in cell-local order.
+    """
+    o, dim, d = basis.n_nodes, mesh.dim, pencils.direction
+    t_dims = [t for t in range(dim) if t != d]
+    gq, gw = np.polynomial.legendre.leggauss(o + 1)
+    mass = (basis.eval_all(gq).T * gw) @ basis.eval_all(gq)  # exact on [-1, 1]
+    # DOF ids shaped (sweep node, transverse nodes), first transverse axis slowest.
+    grids = np.meshgrid(*([np.arange(o)] * dim), indexing="ij")
+    dof = sum(g * o**a for a, g in zip([d] + t_dims, grids)).reshape(o, -1)
+    values = f.reshape(mesh.n_cells, o**dim, -1)
+    out = np.zeros_like(values)
+    for q in range(pencils.n_pencils):
+        ids = pencils.cell_ids[pencils.pencil_slice(q)]
+        evaluate, project = [], []
+        for c in ids:
+            ev, pr = np.ones((1, 1)), np.ones((1, 1))
+            for a, t in enumerate(t_dims):
+                lo, w = pencils.t_lowers[q, a], pencils.t_widths[q, a]
+                cell = lambda x: 2.0 * (x - mesh.lo[c, t]) / mesh.width[c, t] - 1.0  # noqa: E731
+                ev = np.kron(ev, basis.eval_all(cell(lo + 0.5 * w * (basis.nodes + 1.0))))
+                y = lo + 0.5 * w * (gq + 1.0)
+                overlap = 0.5 * w * (basis.eval_all(cell(y)).T * gw) @ basis.eval_all(gq)
+                pr = np.kron(pr, np.linalg.solve(0.5 * mesh.width[c, t] * mass, overlap))
+            evaluate.append(ev)
+            project.append(pr)
+        # Lines shaped (columns, line, cells, sweep node).
+        lines = np.stack([ev @ values[c][dof] for c, ev in zip(ids, evaluate)])
+        lines = lines.transpose(3, 2, 0, 1).copy()
+        for j, speed in enumerate(speeds):
+            lines[j] = sweep_pencil(lines[j], pencils.widths[pencils.pencil_slice(q)], speed,
+                                    dt, bc, basis)
+        for i, (c, pr) in enumerate(zip(ids, project)):
+            out[c][dof] += pr @ lines[:, :, i].transpose(2, 1, 0)
+    return out.reshape(f.shape)
 
 
 def apply_update_two_products(values, decomp, pair):

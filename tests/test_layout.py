@@ -134,12 +134,13 @@ def test_sweep_pencil_matches_c_contiguous_sweep():
 # sweep holds every group's operators for all moving columns of a sweep
 # (the x columns here), and while it assembles a mixed group, that group's
 # slow-path overlap temporaries; its per-block working arrays
-# (_COLUMN_BLOCK columns) are smaller.  The x-advection holds two products
-# of one run of equal-speed rows (at most two of the 4 (p+1) sweep
-# positions).  The per-step peak measured 0.126 (uniform), 0.259 (amr) and
-# 0.365 (two levels) of f: the more cells a mesh sends to the slow path,
-# the higher its peak.  A step that copied or permuted the whole field
-# would allocate at least f.nbytes.
+# (_COLUMN_BLOCK columns: the mixed groups' working blocks and products,
+# into which shared cells are prolonged straight from f) are smaller.
+# The x-advection holds two products of one run of equal-speed rows (at
+# most two of the 4 (p+1) sweep positions).  The per-step peak measured
+# 0.126 (uniform), 0.259 (amr) and 0.364 (two levels) of f: the more cells
+# a mesh sends to the slow path, the higher its peak.  A step that copied
+# or permuted the whole field would allocate at least f.nbytes.
 PEAK_SHARE = 0.5
 
 

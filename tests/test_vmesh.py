@@ -108,3 +108,11 @@ def test_invalid_parameters():
     with pytest.raises(MeshError):
         build_mesh(3, 4, 0, -1.0)
 
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_nonfinite_radius(radius):
+    # NaN fails every comparison, so a bare `radius <= 0` check let it
+    # through into a mesh of NaN corners.
+    with pytest.raises(MeshError, match=f"radius must be positive and finite, got {radius}"):
+        build_mesh(1, 4, 1, radius)
+

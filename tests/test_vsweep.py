@@ -23,12 +23,10 @@ from sldg_vlasov.vsweep import (
     classify_conforming,
     fast_cells,
     precompute_level_matrices,
-    prolong_shared,
-    restrict_shared,
     sweep_pencil,
 )
 
-from oracle import apply_update_cells
+from oracle import apply_update_cells, weighted_accumulation_sweep
 
 
 @dataclass(frozen=True)
@@ -403,28 +401,24 @@ def test_sweep_linearity():
 
 
 def test_weighted_writeback_copy_and_average(amr_setup):
-    # Production write-back: it touches only the rows of shared cells, and a
-    # shared cell whose sub-pencil results are all its own polynomial (its
-    # prolongations) gets that polynomial back, because the restrictions of
-    # its entries sum to R.P = I.
+    # Production write-back, through one block sweep whose operators are all
+    # c*I: owned rows come back as c times themselves, bit for bit, and each
+    # shared cell whose pencil values are c times its prolongations gets c
+    # times its own polynomial back, because its restrictions, summed over
+    # all its slots, undo its prolongations (R.P = I).
     basis, mesh, perm, plan, coords, weights = amr_setup
-    rng = np.random.default_rng(73)
-    single = np.ones(plan.n_dofs, dtype=bool)
-    for sc in plan.shared:
-        single[sc.rows] = False
-    assert single.any() and not single.all()
-
-    block = rng.standard_normal((3, plan.n_dofs))
-    before = block.copy()
-    entries = rng.standard_normal(prolong_shared(block, plan).shape)
-    restrict_shared(block, entries, plan)
-    assert np.array_equal(block[:, single], before[:, single])
-    assert not np.array_equal(block, before)
-
-    block = before.copy()
-    restrict_shared(block, prolong_shared(block, plan), plan)
-    assert np.array_equal(block[:, single], before[:, single])
-    assert np.abs(block - before).max() <= 1e-13 * np.abs(before).max()
+    n = basis.n_nodes * np.array([g.n_cells for g in plan.groups])
+    shared = np.zeros(plan.n_dofs, dtype=bool)
+    for g in plan.groups:
+        for s in g.slots:
+            shared[s.rows] = True
+    assert shared.any() and not shared.all()
+    block = np.random.default_rng(73).standard_normal((3, plan.n_dofs))
+    for c in (1.0, 2.0):
+        out = block.copy()
+        vsweep._sweep_block(out, [np.broadcast_to(c * np.eye(m), (3, m, m)) for m in n], plan)
+        assert np.array_equal(out[:, ~shared], c * block[:, ~shared]), c
+        assert np.abs(out - c * block).max() <= 1e-13 * np.abs(c * block).max(), c
 
 
 def test_weighted_writeback_rejects_uncovered(amr_setup):
@@ -535,9 +529,9 @@ def test_advect_column_blocks_independent(sweep_plans, monkeypatch):
     # their arithmetic.  Zero-speed columns at block edges and inside
     # blocks shift every later block's offset into the sweep's operators;
     # sweeping in blocks of 1, 5 or 1000 columns, or one column alone,
-    # matches the default blocks.  Blocks of other sizes fold other
-    # columns into the transfer products' width, so they may differ in the
-    # last bits.
+    # matches the default blocks.  Blocks of other sizes give the transfer
+    # products another number of rows (one per column), so they may differ
+    # in the last bits.
     plans = [(build_sweep_plan(build_mesh(3, 4, 1, 6.0), DGBasis(2)), "4^3+AMR1 p=2"),
              (sweep_plans[4, 2][0], "4^3+AMR2 p=3")]
     rng = np.random.default_rng(71)
@@ -595,31 +589,55 @@ def test_sweep_plan_group_layout(amr_setup):
     assert len(plan.groups) == 2
     sizes = sorted((g.n_lines, g.n_cells) for g in plan.groups)
     assert sizes == [(192, 4), (256, 6)]
-    # The groups' runs and the shared classes tile the rows in order, and
-    # `order` is a permutation of the cell-local DOF ids.
-    ranges = [rows for g in plan.groups for _, rows in g.runs]
-    ranges += [sc.rows for sc in plan.shared]
-    assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
-    assert ranges[0].start == 0 and ranges[-1].stop == plan.n_dofs
+    # The groups' runs and the shared cells' classes tile the rows in order,
+    # and `order` is a permutation of the cell-local DOF ids.
+    classes = sorted({(s.rows.start, s.rows.stop) for g in plan.groups for s in g.slots})
+    ranges = [(rows.start, rows.stop) for g in plan.groups for _, rows in g.runs] + classes
+    assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
+    assert ranges[0][0] == 0 and ranges[-1][1] == plan.n_dofs
     assert np.array_equal(np.sort(plan.order), np.arange(plan.n_dofs))
-    # Every working row of a group is either owned (in exactly one run) or
-    # holds shared entries, one per pencil, and every shared entry sits in
-    # exactly one slot.  Each class's entries follow the previous class's.
-    o = basis.n_nodes
-    seen = np.zeros(plan.n_entries, dtype=np.int64)
+    # Every working row and line of a group is either owned (in exactly one
+    # run) or fed by exactly one slot, which covers one position and k
+    # consecutive pencils per cell.
+    o, n_tl = basis.n_nodes, plan.n_tl
     for g in plan.groups:
-        slots = np.zeros(g.n_cells * o, dtype=np.int64)
+        fed = np.zeros((g.n_cells * o, g.n_lines), dtype=np.int64)
         for positions, rows in g.runs:
             assert (positions.stop - positions.start) * g.n_lines == rows.stop - rows.start
-            slots[positions] += 1
-        slots.reshape(g.n_cells, o)[g.shared] += 1
-        assert (slots == 1).all()
-        assert g.entries.shape == (len(g.shared), g.n_lines // plan.n_tl)
-        seen += np.bincount(g.entries.ravel(), minlength=len(seen))
-    assert (seen == 1).all()
-    assert [sc.entries.start for sc in plan.shared] == [0] + [
-        sc.entries.stop for sc in plan.shared[:-1]]
-    assert plan.shared[-1].entries.stop == plan.n_entries
+            fed[positions] += 1
+        for s in g.slots:
+            n_c, _, _, k_lines = s.prolong.shape
+            assert s.work.stop - s.work.start == o and s.work.start % o == 0
+            assert s.lines.stop - s.lines.start == n_c * k_lines
+            assert s.restrict.shape == (n_c, 1, k_lines, n_tl)
+            fed[s.work, s.lines] += 1
+        assert (fed == 1).all()
+    # Each of the 8 shared cells lies in 4 consecutive pencils of the mixed
+    # group: one slot of 4 cells at each of its two shared positions.
+    slots = [(len(s.prolong), s.prolong.shape[-1] // n_tl, s.first)
+             for g in plan.groups for s in g.slots]
+    assert slots == [(4, 4, True)] * 2
+
+
+@pytest.mark.parametrize("direction", [0, 1, 2])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_advect_matches_weighted_accumulation_oracle(levels, direction):
+    # The batched sweep against a per-pencil reference that shares none of
+    # the plan's transfers or batching (tests/oracle.py).  On 4^3+AMR2 and
+    # +AMR3 a shared cell lies in pencils of two or three groups, so its
+    # restriction sums slots of several groups.
+    mesh = build_mesh(3, 4, levels, 6.0)
+    basis = DGBasis(2)
+    pset = extract_pencils(mesh, direction)
+    plan = build_sweep_plan(mesh, basis, pset)
+    rng = np.random.default_rng(89 + levels)
+    f = rng.random((plan.n_dofs, 3))  # cell-local row order
+    speeds = np.array([0.7, -1.3, 35.0])
+    for bc in ("absorbing", "periodic"):
+        ref = weighted_accumulation_sweep(f, mesh, basis, pset, speeds, 0.1, bc)
+        out = np.empty_like(f)
+        out[plan.order] = advect_velocity(f[plan.order], speeds, 0.1, plan, bc=bc)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(f).max(), bc
 
 
 # Speeds: zero, tiny, and displacements up to 3 domain lengths (12 / dt).
