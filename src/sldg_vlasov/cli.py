@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of time steps")
     ap.add_argument("--bc", choices=[ABSORBING, PERIODIC], default=SimConfig.bc,
                     help="velocity boundary mode")
-    ap.add_argument("--workers", type=int, default=SimConfig.workers,
-                    help="worker threads for the x-advection speed groups")
     ap.add_argument("--force-slow-path", dest="force_slow", action="store_true",
                     help="route every cell through the generalized-overlap path")
     ap.add_argument("--table2", metavar="ROW",
@@ -87,7 +85,7 @@ def parse_config(argv) -> tuple[SimConfig, argparse.Namespace]:
                              f"it conflicts with {', '.join(given)}")
         ns.degree, ns.n_base, ns.levels = TABLE2_PRESETS[key]
     cfg = SimConfig(**{f.name: getattr(ns, f.name) for f in fields(SimConfig)
-                       if getattr(ns, f.name) is not None}).validate()
+                       if getattr(ns, f.name, None) is not None}).validate()
     return cfg, ns
 
 

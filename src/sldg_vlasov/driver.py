@@ -60,7 +60,7 @@ class SimConfig:
     dt: float = 0.1
     n_steps: int = 200
     bc: str = ABSORBING
-    workers: int = 1
+    workers: int = 1  # only 1; kept while perfbench/run.py passes workers=1
     force_slow: bool = False
 
     def validate(self) -> "SimConfig":
@@ -87,8 +87,8 @@ class SimConfig:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
         if self.bc not in (ABSORBING, PERIODIC):
             raise ValueError(f"bc must be absorbing or periodic, got {self.bc!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1 (the solver is serial), got {self.workers}")
         if not 0 <= self.perturbation < 1:
             raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation}")
         if not isinstance(self.force_slow, (bool, np.bool_)):
@@ -292,7 +292,7 @@ class Simulation:
         finite (a non-finite f reaches it through the charge density).
         """
         c = self.config
-        advect_x(self.f, self.x_plan_full if self.x_pending else self.x_plan, workers=c.workers)
+        advect_x(self.f, self.x_plan_full if self.x_pending else self.x_plan)
         e_field = self.field_solve()
         if not np.isfinite(e_field).all():
             raise RuntimeError(f"non-finite electric field at step {self.n_done + 1}")
@@ -309,7 +309,7 @@ class Simulation:
         Does nothing when no half step is pending.
         """
         if self.x_pending:
-            advect_x(self.f, self.x_plan, workers=self.config.workers)
+            advect_x(self.f, self.x_plan)
             self.x_pending = False
 
     @staticmethod

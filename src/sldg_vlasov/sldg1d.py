@@ -21,6 +21,8 @@ PERIODIC = "periodic"
 ABSORBING = "absorbing"
 
 _ONE_MINUS_ULP = float(np.nextafter(1.0, 0.0))
+# From 2**53 cells on, a double holds no fractional shift (and int64 wraps at 2**63).
+_MAX_SHIFT = 2.0**53
 
 
 def check_bc(bc: str) -> str:
@@ -57,6 +59,9 @@ def decompose_shift(speed, dt: float, width: float) -> ShiftDecomposition:
     ratio = np.asarray(speed, dtype=float) * dt / width
     if not np.isfinite(ratio).all():
         raise ValueError(f"shift speed*dt/width must be finite, got speed {speed}")
+    if not (np.abs(ratio) < _MAX_SHIFT).all():
+        raise ValueError(f"shift speed*dt/width must be below 2**53 cells in magnitude, "
+                         f"got {np.abs(ratio).max():.3g}")
     n = np.floor(ratio)
     frac = ratio - n
     fold = frac >= _ONE_MINUS_ULP

@@ -83,14 +83,13 @@ def fast_cells(before, after, n_shift) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LevelMatrices:
-    """Shift decompositions and overlap pairs indexed [level, speed].
+    """Integer shifts and overlap pairs indexed [level, speed].
 
-    For speeds shaped S, n_shift and frac are shaped (n_levels,) + S and
-    same / neighbor (n_levels,) + S + (p+1, p+1).
+    For speeds shaped S, n_shift is shaped (n_levels,) + S and same /
+    neighbor (n_levels,) + S + (p+1, p+1).
     """
 
     n_shift: np.ndarray
-    frac: np.ndarray
     same: np.ndarray
     neighbor: np.ndarray
 
@@ -107,7 +106,7 @@ def precompute_level_matrices(basis: DGBasis, speed, dt: float,
     """
     d = decompose_shift(np.multiply.outer(2.0 ** np.arange(n_levels), speed), dt, base_width)
     pair = overlap_pair(basis, d.frac)
-    return LevelMatrices(d.n_shift, d.frac, pair.same, pair.neighbor)
+    return LevelMatrices(d.n_shift, pair.same, pair.neighbor)
 
 
 # The column sweep calls this under a private name, so that wrapping the

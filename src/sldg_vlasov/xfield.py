@@ -11,7 +11,6 @@ directly with a zero-mean constraint to fix the periodic null space.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,30 +108,21 @@ def rescale_x_plan(xgrid: XGrid, plan: XAdvectionPlan, dt: float) -> XAdvectionP
     return _build_plan(xgrid, [g.rows for g in plan.groups], speeds, dt)
 
 
-def _advect_rows(ft, group, n_cells):
-    if group.decomp.n_shift == 0 and group.decomp.frac == 0.0:
-        return
-    for run in group.runs:
-        block = ft[:, run].reshape(n_cells, -1, run.stop - run.start)
-        apply_update(block, group.decomp, group.pair)
-
-
-def advect_x(f, plan: XAdvectionPlan, workers: int = 1):
+def advect_x(f, plan: XAdvectionPlan):
     """Apply the periodic SLDG x-update to every velocity DOF row of f.
 
     `f` is shaped (n_velocity_dofs, n_x_dofs), in any memory order.  Each
     run of equal-speed rows updates in place as one (n_cells, p+1, rows)
-    block of f.T; zero-speed rows keep their bits.  Groups touch disjoint
-    rows, so threading over them cannot change the result.  Updates f in
-    place and returns it.
+    block of f.T; zero-speed rows keep their bits.  Updates f in place and
+    returns it.
     """
     ft = f.T
-    if workers <= 1:
-        for g in plan.groups:
-            _advect_rows(ft, g, plan.n_cells)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda g: _advect_rows(ft, g, plan.n_cells), plan.groups))
+    for g in plan.groups:
+        if g.decomp.n_shift == 0 and g.decomp.frac == 0.0:
+            continue
+        for run in g.runs:
+            block = ft[:, run].reshape(plan.n_cells, -1, run.stop - run.start)
+            apply_update(block, g.decomp, g.pair)
     return f
 
 

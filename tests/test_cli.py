@@ -172,9 +172,22 @@ def test_unwritable_path_exits_runtime(tmp_path):
     assert code == 3
 
 
-def test_force_slow_and_workers_flags(tmp_path):
-    cfg, _ = parse_config(["--force-slow-path", "--workers", "2", "--dv", "1"])
-    assert cfg.force_slow and cfg.workers == 2 and cfg.dim == 1
+def test_overflowing_shift_exits_runtime(tmp_path, capsys):
+    # speed*dt/width far beyond 2**53 cells has no meaningful shift; the run
+    # stops in set-up instead of advecting by a wrapped integer.
+    code = main(["--dv", "1", "--Nb", "8", "--Nx", "8", "--steps", "3", "--dt", "1e300",
+                 "--bc", "periodic", "--csv", str(tmp_path / "r.csv"),
+                 "--plot-script", str(tmp_path / "p.py")])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_force_slow_and_workers_flags(capsys):
+    cfg, _ = parse_config(["--force-slow-path", "--dv", "1"])
+    assert cfg.force_slow and cfg.workers == 1 and cfg.dim == 1
+    # The solver is single-threaded; --workers is gone.
+    assert main(FAST_ARGS + ["--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("script,png", [

@@ -37,8 +37,8 @@ def test_config_validation():
         SimConfig(dt=0.0).validate()
     with pytest.raises(ValueError):
         SimConfig(bc="reflecting").validate()
-    with pytest.raises(ValueError):
-        SimConfig(workers=0).validate()
+    with pytest.raises(ValueError, match="workers"):
+        SimConfig(workers=2).validate()
     assert SimConfig().validate().length == pytest.approx(4 * np.pi)
 
 
@@ -278,14 +278,6 @@ def test_run_records_and_initial_field():
     assert abs(res.records[0].e_max - 0.02) <= 1e-3 * 0.02
     for rec in res.records:
         assert abs(rec.e_total - (0.5 * rec.m2 + rec.e_field)) <= 1e-15 * abs(rec.e_total)
-
-
-def test_run_deterministic_across_workers():
-    cfg = small_config(n_steps=3)
-    a = run(cfg)
-    b = run(small_config(n_steps=3, workers=3))
-    for ra, rb in zip(a.records, b.records):
-        assert ra == rb
 
 
 @pytest.mark.parametrize("bc", ["absorbing", "periodic"])

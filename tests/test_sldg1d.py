@@ -52,6 +52,12 @@ def test_decompose_rejects_bad_inputs():
         decompose_shift(1.0, 1.0, -1.0)
     with pytest.raises(ValueError, match="finite"):
         decompose_shift(np.array([0.5, np.nan]), 1.0, 1.0)
+    # From 2**53 cells on a double has no fractional shift and the int64 cast
+    # would wrap (1e300 gave n_shift = -2**63).
+    for speed in (1e300, -2.0**53, np.array([0.5, 2.0**53])):
+        with pytest.raises(ValueError, match="shift"):
+            decompose_shift(speed, 1.0, 1.0)
+    assert decompose_shift(-(2.0**53 - 1), 1.0, 1.0) == ShiftDecomposition(-(2**53 - 1), 0.0)
 
 
 def test_overlap_zero_shift_is_identity():

@@ -12,6 +12,7 @@ from sldg_vlasov.pencil import PencilSet, extract_pencils
 from sldg_vlasov.sldg1d import (
     OverlapPair,
     ShiftDecomposition,
+    decompose_shift,
     overlap_blocks,
     overlap_pair,
 )
@@ -94,8 +95,9 @@ def amr_setup(sweep_plans):
 def test_level_matrices_zero_speed():
     basis = DGBasis(2)
     lm = precompute_level_matrices(basis, 0.0, 0.1, 1.0, 3)
+    frac = decompose_shift(np.zeros(3), 0.1, 1.0).frac
     for lev in range(3):
-        assert lm.n_shift[lev] == 0 and lm.frac[lev] == 0.0
+        assert lm.n_shift[lev] == 0 and frac[lev] == 0.0
         assert np.array_equal(lm.same[lev], np.eye(3))
         assert np.array_equal(lm.neighbor[lev], 0.0 * np.eye(3))
 
@@ -106,8 +108,9 @@ def test_level_matrices_halving():
     basis = DGBasis(3)
     h0 = 1.0
     lm = precompute_level_matrices(basis, 0.5, 1.0, h0, 2)
-    assert lm.n_shift[0] == 0 and abs(lm.frac[0] - 0.5) < 1e-15
-    assert lm.n_shift[1] == 1 and lm.frac[1] == 0.0
+    frac = decompose_shift(np.array([0.5, 1.0]), 1.0, h0).frac
+    assert lm.n_shift[0] == 0 and abs(frac[0] - 0.5) < 1e-15
+    assert lm.n_shift[1] == 1 and frac[1] == 0.0
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -190,8 +193,9 @@ def test_sweep_uniform_operator_matches_apply_update():
         nonzero = {(s, c) for s in range(n) for c in range(n) if blocks[s, c].any()}
         assert nonzero == {(s, (s - ns - k) % n) for s in range(n) for k in (0, 1)}
         out = sweep_pencil(vals, widths, speed, 0.4, "periodic", basis)
-        ref = apply_update_cells(vals, ShiftDecomposition(lm.n_shift[0], lm.frac[0]),
-                           OverlapPair(lm.same[0], lm.neighbor[0]))
+        frac = decompose_shift(speed, 0.4, 2.4).frac
+        ref = apply_update_cells(vals, ShiftDecomposition(ns, frac),
+                                 OverlapPair(lm.same[0], lm.neighbor[0]))
         assert np.abs(out - ref).max() <= 1e-14
 
 
