@@ -209,10 +209,14 @@ def fit_damping_rate(times, values) -> DampingFit:
     Keeps the maximal initial run of strictly decreasing peak values (the
     usable window before recurrence) and fits log(peak) against time by
     least squares; fewer than two usable peaks yields an explicit
-    insufficient-peaks result.
+    insufficient-peaks result.  Raises ValueError unless both series have
+    one shape.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.shape != values.shape:
+        raise ValueError(f"times and values must have one shape, got {times.shape} "
+                         f"and {values.shape}")
     if len(times) < 3:
         return DampingFit(None, None, 0, np.array([]), np.array([]))
     idx = _peak_indices(values).tolist()

@@ -52,10 +52,10 @@ def decompose_shift(speed, dt: float, width: float) -> ShiftDecomposition:
     degenerate zero-width overlap intervals.  `speed` may be an array; the
     fields then have its shape.
     """
-    if width <= 0.0:
-        raise ValueError(f"cell width must be positive, got {width}")
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"cell width must be positive and finite, got {width}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"time step dt must be positive and finite, got {dt}")
     ratio = np.asarray(speed, dtype=float) * dt / width
     if not np.isfinite(ratio).all():
         raise ValueError(f"shift speed*dt/width must be finite, got speed {speed}")

@@ -115,32 +115,6 @@ def precompute_level_matrices(basis: DGBasis, speed, dt: float,
 _level_matrices = precompute_level_matrices
 
 
-def _foot_segments(foot_lo, width, disp, bc, radius):
-    """Split foot intervals into in-domain segments.
-
-    Returns (owner, lo, hi, disp) arrays with one entry per segment: the
-    index of its foot interval, its bounds, and the effective displacement
-    mapping its (possibly wrapped) coordinates back to destination
-    coordinates.  Periodic feet are reduced modulo the domain length first,
-    so arbitrarily large displacements wrap cleanly; a reduced foot still
-    straddling the upper boundary splits in two.  Absorbing segments are
-    clipped to the domain and may be empty.
-    """
-    foot_hi = foot_lo + width
-    owner = np.arange(len(foot_lo))
-    if bc == ABSORBING:
-        return owner, np.maximum(foot_lo, -radius), np.minimum(foot_hi, radius), disp
-    span = 2.0 * radius
-    k = np.floor((foot_lo + radius) / span)
-    a = foot_lo - k * span
-    b = foot_hi - k * span
-    wrap = b > radius
-    return (np.concatenate([owner, owner[wrap]]),
-            np.concatenate([a, np.full(int(wrap.sum()), -radius)]),
-            np.concatenate([np.minimum(b, radius), b[wrap] - span]),
-            np.concatenate([disp + k * span, disp[wrap] + (k[wrap] + 1.0) * span]))
-
-
 def _pencil_operators(lm: LevelMatrices, disp, group: _PencilGroup, plan: SweepPlan,
                       bc, force_slow: bool) -> np.ndarray:
     """Dense SLDG update operators of one pencil group, one per speed.
@@ -152,8 +126,11 @@ def _pencil_operators(lm: LevelMatrices, disp, group: _PencilGroup, plan: SweepP
     same-level reach (`fast_cells`) takes its level's same/neighbor pair at
     index offsets; every other cell (all of them with `force_slow`) sums
     generalized overlap blocks against the source cells its foot interval
-    meets.  Absorbing boundaries read zero outside [-R, R]; periodic
-    boundaries wrap foot coordinates by multiples of the domain length.
+    meets.  An absorbing foot meets only the pencil's cells, which tile
+    [-R, R], so it reads zero outside them.  A periodic foot is moved by a
+    multiple of the length 2R into [-R, R) and then also meets the image
+    cells, the pencil's cells shifted by 2R; an image's block goes to its
+    cell, as in `sldg1d.apply_update`.
     """
     basis = plan.basis
     lowers, widths, levels = group.lowers, group.widths, group.levels
@@ -174,14 +151,21 @@ def _pencil_operators(lm: LevelMatrices, disp, group: _PencilGroup, plan: SweepP
 
     j, s = np.nonzero(~fast)
     if j.size:
-        seg, a, b, de = _foot_segments(lowers[s] - disp[j], widths[s], disp[j], bc, plan.radius)
-        vl = np.maximum(a[:, None], lowers)
-        vr = np.minimum(b[:, None], lowers + widths)
-        r, c = np.nonzero(vr - vl > 1e-14 * widths[s[seg]][:, None])
-        dest = s[seg[r]]
-        raw = overlap_blocks(basis, vl[r, c], vr[r, c], lowers[dest], widths[dest],
-                             lowers[c], widths[c], de[r])
-        np.add.at(op, (j[seg[r]], dest, slice(None), c), basis.mass_inv @ raw)
+        foot_lo, de = lowers[s] - disp[j], disp[j]
+        foot_hi = foot_lo + widths[s]
+        src_lo, src_w = lowers, widths
+        if bc == PERIODIC:
+            span = 2.0 * plan.radius
+            k = np.floor((foot_lo + plan.radius) / span) * span
+            foot_lo, foot_hi, de = foot_lo - k, foot_hi - k, de + k
+            src_lo, src_w = np.concatenate([lowers, lowers + span]), np.tile(widths, 2)
+        vl = np.maximum(foot_lo[:, None], src_lo)
+        vr = np.minimum(foot_hi[:, None], src_lo + src_w)
+        r, c = np.nonzero(vr - vl > 1e-14 * widths[s][:, None])
+        raw = overlap_blocks(basis, vl[r, c], vr[r, c], lowers[s[r]], widths[s[r]],
+                             src_lo[c], src_w[c], de[r])
+        # A foot can meet a cell and its image (always on a one-cell pencil).
+        np.add.at(op, (j[r], s[r], slice(None), c % n), basis.mass_inv @ raw)
     return op.reshape(n_cols, n * o, n * o)
 
 

@@ -28,10 +28,12 @@ class XGrid:
     """
 
     def __init__(self, n_cells: int, degree: int, length: float):
+        if isinstance(n_cells, bool) or not isinstance(n_cells, (int, np.integer)):
+            raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
         if n_cells < 4:
             raise ValueError(f"need at least 4 x-cells, got {n_cells}")
-        if length <= 0:
-            raise ValueError(f"domain length must be positive, got {length}")
+        if not 0 < length < np.inf:
+            raise ValueError(f"domain length must be positive and finite, got {length}")
         self.n_cells = int(n_cells)
         self.length = float(length)
         self.basis = DGBasis(degree)

@@ -1,9 +1,13 @@
-"""Order of accuracy of the velocity sweep against an exact translate."""
+"""Orders of accuracy: the velocity sweep against an exact translate in
+space, and the Strang-split solver against a fine-step run in time."""
+
+import copy
 
 import numpy as np
 import pytest
 
 from sldg_vlasov.basis import DGBasis
+from sldg_vlasov.driver import SimConfig, Simulation
 from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.vsweep import sweep_pencil
 
@@ -46,3 +50,35 @@ def test_sweep_converges_at_order_p_plus_one(degree):
         assert (orders[-2:] >= degree + 0.7).all(), (levels, orders)
         # Refinement never makes the error worse than the uniform mesh's.
         assert (err <= errors[0]).all(), (levels, err, errors[0])
+
+
+def landau(dt):
+    """1X1V Landau run to T = 2: synced f at T, and the largest relative change
+    of the total energy of the synced state over the steps."""
+    sim = Simulation(SimConfig(dim=1, n_base=64, levels=0, degree=3, n_x=32, degree_x=3,
+                               perturbation=0.05, bc="periodic", dt=dt,
+                               n_steps=round(2.0 / dt)))
+    e0 = sim.diagnostics(sim.field_solve()).e_total
+    drift = 0.0
+    for _ in range(sim.config.n_steps):
+        sim.step()
+        # The state at t, with the pending half x-step applied and its own field.
+        synced = copy.copy(sim)
+        synced.f = np.copy(sim.f)
+        synced.sync()
+        drift = max(drift, abs(synced.diagnostics(synced.field_solve()).e_total - e0) / abs(e0))
+    sim.sync()
+    return sim.f, drift
+
+
+def test_strang_splitting_is_second_order_in_time():
+    # Measured: max|f - f_ref| 5.15e-5, 1.27e-5 and 3.03e-6 for dt = 0.2, 0.1
+    # and 0.05 against dt = 0.0125 (ratios 4.05 and 4.19); energy drift of the
+    # synced state 5.24e-5, 1.31e-5 and 3.26e-6 (ratios 4.01 and 4.01).
+    ref, _ = landau(0.0125)
+    runs = [landau(dt) for dt in (0.2, 0.1, 0.05)]
+    errors = np.array([np.abs(f - ref).max() for f, _ in runs])
+    drifts = np.array([drift for _, drift in runs])
+    for name, values in (("f", errors), ("energy", drifts)):
+        orders = np.log2(values[:-1] / values[1:])
+        assert (orders >= 1.8).all(), (name, values, orders)

@@ -269,6 +269,14 @@ def test_fit_short_series():
     assert not fit.ok and fit.n_peaks == 0
 
 
+def test_fit_rejects_mismatched_series():
+    # Longer times paired peaks with the wrong times; shorter ones raised
+    # IndexError.
+    for times, values in (([0, 1, 2, 3, 4], [1, 2, 1]), ([0, 1, 2], [1, 2, 1, 2, 1])):
+        with pytest.raises(ValueError, match="shape"):
+            fit_damping_rate(times, values)
+
+
 def test_run_records_and_initial_field():
     cfg = small_config(n_steps=4, n_x=64)  # default x resolution for the field
     res = run(cfg)

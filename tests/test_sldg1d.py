@@ -52,6 +52,12 @@ def test_decompose_rejects_bad_inputs():
         decompose_shift(1.0, 1.0, -1.0)
     with pytest.raises(ValueError, match="finite"):
         decompose_shift(np.array([0.5, np.nan]), 1.0, 1.0)
+    # A nan width or step used to pass its check and be blamed on the speed.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="width"):
+            decompose_shift(1.0, 0.1, bad)
+        with pytest.raises(ValueError, match="dt"):
+            decompose_shift(1.0, bad, 0.1)
     # From 2**53 cells on a double has no fractional shift and the int64 cast
     # would wrap (1e300 gave n_shift = -2**63).
     for speed in (1e300, -2.0**53, np.array([0.5, 2.0**53])):
@@ -130,21 +136,25 @@ def _advect(values, displacement, width, basis):
 
 
 def test_apply_update_vs_oracle_random():
-    # Periodic draws take the uniform update; absorbing ones take the
-    # velocity sweep, which is the only absorbing path, on a uniform pencil.
+    # Periodic draws take the uniform update and the velocity sweep's slow
+    # path; absorbing ones take the velocity sweep, which is the only
+    # absorbing path, on a uniform pencil.  On one- and two-cell pencils a
+    # periodic foot meets a cell and its image.
     rng = np.random.default_rng(5)
     for _ in range(100):
         p = int(rng.integers(1, 6))
-        n = int(rng.integers(3, 9))
+        n = int(rng.integers(1, 9))
         basis = DGBasis(p)
         vals = rng.standard_normal((n, p + 1))
         disp = rng.uniform(-2.5 * n, 2.5 * n)
         bc = PERIODIC if rng.random() < 0.7 else ABSORBING
+        expect = projection_oracle(vals, disp, 1.0, basis, bc)
         if bc == PERIODIC:
             got = _advect(vals, disp, 1.0, basis)
+            slow = sweep_pencil(vals, np.ones(n), disp, 1.0, bc, basis, force_slow=True)
+            assert np.abs(slow - expect).max() <= 1e-12
         else:
             got = sweep_pencil(vals, np.ones(n), disp, 1.0, bc, basis)
-        expect = projection_oracle(vals, disp, 1.0, basis, bc)
         assert np.abs(got - expect).max() <= 1e-12
 
 

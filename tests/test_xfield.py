@@ -31,6 +31,14 @@ def test_xgrid_layout(xgrid):
     assert abs(xgrid.dof_weights.sum() - LENGTH) < 1e-12
     with pytest.raises(ValueError):
         XGrid(2, 2, LENGTH)
+    # A non-integer count used to truncate, and a nan or inf length gave nan
+    # or inf cell widths with only RuntimeWarnings.
+    for n_cells in (8.7, 8.0, True):
+        with pytest.raises(ValueError, match="n_cells"):
+            XGrid(n_cells, 2, LENGTH)
+    for length in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="length"):
+            XGrid(8, 2, length)
 
 
 def test_precompute_zero_speed_identity(xgrid):
