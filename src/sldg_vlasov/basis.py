@@ -21,7 +21,7 @@ def gll_rule(p: int):
     2 / (p (p+1) P_p(x_j)^2).  The rule integrates polynomials of degree
     up to 2p - 1 exactly on [-1, 1].
     """
-    if not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_DEGREE:
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_DEGREE:
         raise ValueError(f"degree must be an integer in [1, {MAX_DEGREE}], got {p!r}")
     p_p = legendre.Legendre.basis(p)
     nodes = np.concatenate(([-1.0], p_p.deriv().roots(), [1.0]))
@@ -47,8 +47,8 @@ class DGBasis:
     """
 
     def __init__(self, degree: int):
-        self.degree = int(degree)
         self.nodes, self.weights = gll_rule(degree)
+        self.degree = int(degree)
         self.gauss_nodes, self.gauss_weights = legendre.leggauss(self.degree + 1)
 
         o = self.degree + 1

@@ -29,7 +29,7 @@ from .sldg1d import ABSORBING, PERIODIC
 from .vmesh import build_mesh, ip_count
 from .vsweep import advect_velocity, build_sweep_plan
 from .xfield import (PoissonSolver, XGrid, advect_x, compute_rho, field_energy,
-                     precompute_x_matrices, rescale_x_plan)
+                     precompute_x_matrices)
 
 # The traced benchmark wraps these names here; build_sweep_plan calls them itself.
 from .pencil import extract_pencils  # noqa: F401
@@ -81,16 +81,17 @@ class SimConfig:
         if self.n_x < 4:
             raise ValueError(f"n_x must be >= 4, got {self.n_x}")
         for name in ("radius", "wave_number", "dt"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
         if self.bc not in (ABSORBING, PERIODIC):
             raise ValueError(f"bc must be absorbing or periodic, got {self.bc!r}")
         if self.workers != 1:
             raise ValueError(f"workers must be 1 (the solver is serial), got {self.workers}")
-        if not 0 <= self.perturbation < 1:
-            raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation}")
+        if isinstance(self.perturbation, bool) or not 0 <= self.perturbation < 1:
+            raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation!r}")
         if not isinstance(self.force_slow, (bool, np.bool_)):
             raise ValueError(f"force_slow must be a bool, got {self.force_slow!r}")
         return self
@@ -258,7 +259,7 @@ class Simulation:
         self.vweights = velocity_dof_weights(self.mesh, self.basis, self.perm)[order]
         self.moment_weights = moment_weights(self.vweights, self.vcoords)
         self.x_plan = precompute_x_matrices(self.xgrid, self.vcoords[:, 0], 0.5 * c.dt)
-        self.x_plan_full = rescale_x_plan(self.xgrid, self.x_plan, c.dt)
+        self.x_plan_full = precompute_x_matrices(self.xgrid, self.vcoords[:, 0], c.dt)
         self.x_pending = False  # trailing half x-step of the last step not yet applied
         self.poisson = PoissonSolver(self.xgrid)
         self.f = sample_initial(c, self.vcoords, self.xgrid.dof_coords)

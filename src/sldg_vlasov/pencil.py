@@ -66,8 +66,9 @@ def extract_pencils(mesh: VelocityMesh, direction: int) -> PencilSet:
     domain or has a gap or overlap, naming the pencil and the offending
     coordinate, or when the rectangles do not tile the transverse domain.
     """
-    if not 0 <= direction < mesh.dim:
-        raise PencilError(f"direction must be in [0, {mesh.dim}), got {direction}")
+    if (isinstance(direction, bool) or not isinstance(direction, (int, np.integer))
+            or not 0 <= direction < mesh.dim):
+        raise PencilError(f"direction must be an integer in [0, {mesh.dim}), got {direction!r}")
     tol = 1e-9 * mesh.base_width
     t_dims = [t for t in range(mesh.dim) if t != direction]
     t_lo = mesh.lo[:, t_dims]

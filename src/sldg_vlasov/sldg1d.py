@@ -37,54 +37,6 @@ def index_runs(indices) -> tuple:
     return tuple(slice(int(r[0]), int(r[-1]) + 1) for r in np.split(indices, cut) if r.size)
 
 
-@dataclass(frozen=True)
-class ShiftDecomposition:
-    """Displacement measured in cell widths, split into integer + fractional parts."""
-
-    n_shift: int
-    frac: float
-
-
-def decompose_shift(speed, dt: float, width: float) -> ShiftDecomposition:
-    """Split speed*dt/width into floor and remainder with the remainder in [0, 1).
-
-    A remainder within one ulp of 1.0 is folded to (n_shift + 1, 0) to avoid
-    degenerate zero-width overlap intervals.  `speed` may be an array; the
-    fields then have its shape.
-    """
-    if not 0.0 < width < np.inf:
-        raise ValueError(f"cell width must be positive and finite, got {width}")
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"time step dt must be positive and finite, got {dt}")
-    ratio = np.asarray(speed, dtype=float) * dt / width
-    if not np.isfinite(ratio).all():
-        raise ValueError(f"shift speed*dt/width must be finite, got speed {speed}")
-    if not (np.abs(ratio) < _MAX_SHIFT).all():
-        raise ValueError(f"shift speed*dt/width must be below 2**53 cells in magnitude, "
-                         f"got {np.abs(ratio).max():.3g}")
-    n = np.floor(ratio)
-    frac = ratio - n
-    fold = frac >= _ONE_MINUS_ULP
-    n_shift = (n + fold).astype(np.int64)
-    frac = np.where(fold, 0.0, frac)
-    if ratio.ndim == 0:
-        return ShiftDecomposition(int(n_shift), float(frac))
-    return ShiftDecomposition(n_shift, frac)
-
-
-@dataclass(frozen=True)
-class OverlapPair:
-    """Same-cell and neighbor-cell projection blocks for one fractional shift.
-
-    `same` acts on source cell i - n_shift, `neighbor` on cell i - n_shift - 1.
-    Both already include the inverse mass matrix, so the update is simply
-    out_i = same @ u_{i-n} + neighbor @ u_{i-n-1}.
-    """
-
-    same: np.ndarray
-    neighbor: np.ndarray
-
-
 def overlap_blocks(basis: DGBasis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp) -> np.ndarray:
     """Raw overlap matrices for a batch of (destination, source) cell pairs.
 
@@ -110,19 +62,50 @@ def overlap_blocks(basis: DGBasis, vl, vr, dest_lo, dest_w, src_lo, src_w, disp)
     return raw
 
 
-def overlap_pair(basis: DGBasis, frac) -> OverlapPair:
-    """Build the two overlap matrices for fractional shift frac in [0, 1).
+@dataclass(frozen=True, eq=False)
+class Shift:
+    """Shifts in cell widths and their overlap matrices, one entry per speed.
 
-    The matrices realize the exact L2 projection of the translated
-    piecewise-degree-p function onto the destination cell.  They are the
-    overlap blocks of reference cells: destination and same-index source
-    [-1, 1], left neighbor [-3, -1], displacement 2*frac.  `frac` may be an
-    array of shifts; the matrices are then stacked, shaped
-    frac.shape + (p+1, p+1).  A zero shift gives exactly (I, 0).
+    A shift n_shift + frac (frac in [0, 1)) moves cell i's foot onto source
+    cells i - n_shift and i - n_shift - 1; `same` and `neighbor` project them
+    onto cell i, inverse mass matrix included:
+    out_i = same @ u_{i-n} + neighbor @ u_{i-n-1}.  Indexing a Shift indexes
+    every field.
     """
-    frac = np.asarray(frac, dtype=float)
-    if not ((0.0 <= frac) & (frac < 1.0)).all():
-        raise ValueError(f"fractional shift must lie in [0, 1), got {frac}")
+
+    n_shift: np.ndarray
+    frac: np.ndarray
+    same: np.ndarray
+    neighbor: np.ndarray
+
+    def __getitem__(self, key) -> "Shift":
+        return Shift(self.n_shift[key], self.frac[key], self.same[key], self.neighbor[key])
+
+
+def shift_matrices(basis: DGBasis, speed, dt: float, width: float) -> Shift:
+    """Shifts speed*dt/width and their matrices, shaped like `speed`, in one batch.
+
+    A remainder within one ulp of 1.0 folds to (n_shift + 1, 0), which
+    avoids zero-width overlap intervals.  The matrices are the exact L2
+    projection of the translate: overlap blocks of reference cells, the
+    destination and same-index source [-1, 1], the neighbor [-3, -1],
+    displacement 2*frac.  A zero remainder gives exactly (I, 0).
+    """
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"cell width must be positive and finite, got {width}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"time step dt must be positive and finite, got {dt}")
+    ratio = np.asarray(speed, dtype=float) * dt / width
+    if not np.isfinite(ratio).all():
+        raise ValueError(f"shift speed*dt/width must be finite, got speed {speed}")
+    if not (np.abs(ratio) < _MAX_SHIFT).all():
+        raise ValueError(f"shift speed*dt/width must be below 2**53 cells in magnitude, "
+                         f"got {np.abs(ratio).max():.3g}")
+    n = np.floor(ratio)
+    frac = ratio - n
+    fold = frac >= _ONE_MINUS_ULP
+    n_shift = (n + fold).astype(np.int64)
+    frac = np.where(fold, 0.0, frac)
     d = 2.0 * frac.ravel()
     one = np.ones_like(d)
     lo = np.full(2 * d.size, -1.0)
@@ -135,10 +118,10 @@ def overlap_pair(basis: DGBasis, frac) -> OverlapPair:
     zero = (frac == 0.0)[..., None, None]
     same = np.where(zero, np.eye(o), same)
     neighbor = np.where(zero, 0.0, neighbor)
-    return OverlapPair(same, neighbor)
+    return Shift(n_shift, frac, same, neighbor)
 
 
-def apply_update(values, decomp: ShiftDecomposition, pair: OverlapPair):
+def apply_update(values, shift: Shift):
     """One periodic SLDG advection step on a uniform pencil, in place.
 
     `values` is a float array shaped (..., n_cells, p+1, n_lines), updated
@@ -155,8 +138,8 @@ def apply_update(values, decomp: ShiftDecomposition, pair: OverlapPair):
     ext = np.concatenate([values, values[..., :1, :, :]], axis=-3)
     rows = ext.reshape(ext.shape[:-3] + ((n + 1) * o, ext.shape[-1]))
     windows = np.swapaxes(sliding_window_view(rows, 2 * o, axis=-2)[..., ::o, :, :], -1, -2)
-    op = np.concatenate([pair.neighbor, pair.same], axis=-1)
-    j0 = (-decomp.n_shift - 1) % n
+    op = np.concatenate([shift.neighbor, shift.same], axis=-1)
+    j0 = (-shift.n_shift - 1) % n
     np.matmul(op, windows[..., j0:, :, :], out=values[..., : n - j0, :, :])
     np.matmul(op, windows[..., :j0, :, :], out=values[..., n - j0 :, :, :])
     return values

@@ -108,8 +108,12 @@ def build_mesh(dim: int, n_base: int, max_level: int, radius: float) -> Velocity
     the origin at the first round for odd n_base).  After each round, 2:1
     face balance is restored by refining offending coarse cells.
     """
-    if dim not in (1, 3):
-        raise MeshError(f"velocity dimension must be 1 or 3, got {dim}")
+    for name, value in (("dim", dim), ("n_base", n_base), ("max_level", max_level),
+                        ("radius", radius)):
+        if isinstance(value, bool):
+            raise MeshError(f"{name} must be a number, not a bool, got {value!r}")
+    if not isinstance(dim, (int, np.integer)) or dim not in (1, 3):
+        raise MeshError(f"velocity dimension must be 1 or 3, got {dim!r}")
     if not isinstance(n_base, (int, np.integer)) or n_base < 2:
         raise MeshError(f"base cell count must be an integer >= 2, got {n_base!r}")
     if not isinstance(max_level, (int, np.integer)) or not 0 <= max_level <= 3:

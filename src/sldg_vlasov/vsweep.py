@@ -35,8 +35,8 @@ import numpy as np
 
 from .basis import DGBasis
 from .pencil import PencilSet, extract_pencils
-from .sldg1d import (ABSORBING, PERIODIC, check_bc, decompose_shift, index_runs, overlap_blocks,
-                     overlap_pair)
+from .sldg1d import (ABSORBING, PERIODIC, Shift, check_bc, index_runs, overlap_blocks,
+                     shift_matrices)
 from .sldg1d import apply_update  # noqa: F401 - the traced benchmark wraps vsweep.apply_update
 from .tensor import TensorPermutation, build_permutation
 from .vmesh import VelocityMesh
@@ -81,32 +81,16 @@ def fast_cells(before, after, n_shift) -> np.ndarray:
     return np.where(n_shift >= 0, before > n_shift, after >= -n_shift)
 
 
-@dataclass(frozen=True)
-class LevelMatrices:
-    """Integer shifts and overlap pairs indexed [level, speed].
-
-    For speeds shaped S, n_shift is shaped (n_levels,) + S and same /
-    neighbor (n_levels,) + S + (p+1, p+1).
-    """
-
-    n_shift: np.ndarray
-    same: np.ndarray
-    neighbor: np.ndarray
-
-
 def precompute_level_matrices(basis: DGBasis, speed, dt: float,
-                              base_width: float, n_levels: int) -> LevelMatrices:
-    """Shift decomposition and overlap pair for each level 0..n_levels-1.
+                              base_width: float, n_levels: int) -> Shift:
+    """Shifts and overlap matrices indexed [level, speed], levels 0..n_levels-1.
 
-    Level widths halve per level, so each level gets its own fractional
-    shift; the resulting pair is reused for every conforming cell at that
-    level, which keeps the per-cell cost identical to a uniform grid.
-    `speed` may be an array of column speeds; scaled by 2**lev, which is
-    exact, it decomposes against the base width in one call.
+    Each level's matrices serve every conforming cell at that level, at the
+    cost of a uniform grid.  Level widths halve per level, so the speeds,
+    scaled by 2**level (exactly), are shifted against the base width.
     """
-    d = decompose_shift(np.multiply.outer(2.0 ** np.arange(n_levels), speed), dt, base_width)
-    pair = overlap_pair(basis, d.frac)
-    return LevelMatrices(d.n_shift, pair.same, pair.neighbor)
+    return shift_matrices(basis, np.multiply.outer(2.0 ** np.arange(n_levels), speed), dt,
+                          base_width)
 
 
 # The column sweep calls this under a private name, so that wrapping the
@@ -115,7 +99,7 @@ def precompute_level_matrices(basis: DGBasis, speed, dt: float,
 _level_matrices = precompute_level_matrices
 
 
-def _pencil_operators(lm: LevelMatrices, disp, group: _PencilGroup, plan: SweepPlan,
+def _pencil_operators(lm: Shift, disp, group: _PencilGroup, plan: SweepPlan,
                       bc, force_slow: bool) -> np.ndarray:
     """Dense SLDG update operators of one pencil group, one per speed.
 

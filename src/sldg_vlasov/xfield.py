@@ -1,11 +1,10 @@
 """Spatial side of the solver: periodic DG x-grid, x-advection, Poisson solve.
 
 The x-advection reuses the uniform-grid SLDG update with one precomputed
-overlap pair per distinct velocity-DOF speed and step length (speeds never
-change, so the pairs are built once before the time loop; a plan for a
-second step length reuses the first plan's speed groups).  Each group's
-rows update as runs of consecutive rows, one contiguous block of the
-x-major field per run.  The Poisson equation is discretized with
+`Shift` per distinct velocity-DOF speed and step length (speeds never
+change, so the shifts are built once before the time loop).  Each group's
+rows update as runs of consecutive equal-speed rows, one contiguous block
+of the x-major field per run.  The Poisson equation is discretized with
 continuous finite elements of the same degree on the same cells and solved
 directly with a zero-mean constraint to fix the periodic null space.
 """
@@ -17,8 +16,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis import DGBasis
-from .sldg1d import (OverlapPair, ShiftDecomposition, apply_update, decompose_shift, index_runs,
-                     overlap_pair)
+from .sldg1d import Shift, apply_update, shift_matrices
 
 
 class XGrid:
@@ -53,9 +51,7 @@ class XGrid:
 class _SpeedGroup:
     rows: np.ndarray
     runs: tuple               # slices of consecutive rows covering `rows`
-    speed: float
-    decomp: ShiftDecomposition
-    pair: OverlapPair
+    decomp: Shift             # perfbench/spans.plan_counts reads it by this name
 
 
 @dataclass(frozen=True)
@@ -71,43 +67,32 @@ class XAdvectionPlan:
     groups: tuple
 
 
-def _build_plan(xgrid: XGrid, rows, speeds, dt: float) -> XAdvectionPlan:
-    """Plan for the given row groups and their speeds, matrices built in one batch."""
-    d = decompose_shift(speeds, dt, xgrid.h)
-    pair = overlap_pair(xgrid.basis, d.frac)
-    groups = tuple(
-        _SpeedGroup(r, index_runs(r), float(speeds[u]),
-                    ShiftDecomposition(int(d.n_shift[u]), float(d.frac[u])),
-                    OverlapPair(pair.same[u], pair.neighbor[u]))
-        for u, r in enumerate(rows)
-    )
-    return XAdvectionPlan(xgrid.n_cells, groups)
+def _positions_by_key(keys) -> list:
+    """Ascending positions of each key 0, 1, ... in the integer array `keys`."""
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(np.bincount(keys))[:-1])
 
 
 def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
-    """One shift decomposition and overlap pair per distinct speed.
+    """One `Shift` per distinct speed, for all distinct speeds in one batch.
 
-    The decompositions and pairs of all distinct speeds are built in one
-    batch.  Velocity DOFs sharing the same sweep coordinate share them;
-    zero-speed rows get the exact identity pair and are skipped when the
-    plan is applied.
+    Consecutive rows of equal speed form a run; the runs of each distinct
+    speed, in row order, form its group, which shares its shift.  Zero-speed
+    rows get the exact identity and are skipped when the plan is applied.
     """
     speeds = np.asarray(speeds, dtype=float)
     if not np.isfinite(speeds).all():
         raise ValueError("advection speeds must be finite")
-    uniq, inverse = np.unique(speeds, return_inverse=True)
-    rows = [np.nonzero(inverse == u)[0] for u in range(len(uniq))]
-    return _build_plan(xgrid, rows, uniq, dt)
-
-
-def rescale_x_plan(xgrid: XGrid, plan: XAdvectionPlan, dt: float) -> XAdvectionPlan:
-    """The plan's row groups and speeds with matrices for time step dt.
-
-    Equal to `precompute_x_matrices` at dt for the same speeds, without
-    grouping the rows again.
-    """
-    speeds = np.array([g.speed for g in plan.groups])
-    return _build_plan(xgrid, [g.rows for g in plan.groups], speeds, dt)
+    starts = np.flatnonzero(np.diff(speeds, prepend=np.nan) != 0.0)
+    stops = np.append(starts[1:], speeds.size)
+    uniq, speed_of = np.unique(speeds[starts], return_inverse=True)
+    rows = _positions_by_key(np.repeat(speed_of, stops - starts))
+    runs = _positions_by_key(speed_of)
+    shift = shift_matrices(xgrid.basis, uniq, dt, xgrid.h)
+    groups = tuple(
+        _SpeedGroup(r, tuple(slice(int(starts[k]), int(stops[k])) for k in ks), shift[u])
+        for u, (r, ks) in enumerate(zip(rows, runs))
+    )
+    return XAdvectionPlan(xgrid.n_cells, groups)
 
 
 def advect_x(f, plan: XAdvectionPlan):
@@ -124,7 +109,7 @@ def advect_x(f, plan: XAdvectionPlan):
             continue
         for run in g.runs:
             block = ft[:, run].reshape(plan.n_cells, -1, run.stop - run.start)
-            apply_update(block, g.decomp, g.pair)
+            apply_update(block, g.decomp)
     return f
 
 

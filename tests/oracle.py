@@ -100,27 +100,27 @@ def weighted_accumulation_sweep(f, mesh, basis, pencils: PencilSet, speeds, dt, 
     return out.reshape(f.shape)
 
 
-def apply_update_two_products(values, decomp, pair):
+def apply_update_two_products(values, shift):
     """Reference for sldg1d.apply_update: both projections of every cell are
     taken before `values` is overwritten, then shifted into place, so cell i
     takes `same` from cell i - n_shift and `neighbor` from cell i - n_shift - 1.
     Updates `values`, shaped (..., n_cells, p+1, n_lines), in place.
     """
-    same, neighbor = pair.same @ values, pair.neighbor @ values
+    same, neighbor = shift.same @ values, shift.neighbor @ values
     n = values.shape[-3]
     dest, same, neighbor = (np.moveaxis(a, -3, 0) for a in (values, same, neighbor))
-    s = decomp.n_shift % n
+    s = shift.n_shift % n
     dest[s:] = same[: n - s]
     dest[:s] = same[n - s :]
-    s = (decomp.n_shift + 1) % n
+    s = (shift.n_shift + 1) % n
     dest[s:] += neighbor[: n - s]
     dest[:s] += neighbor[n - s :]
     return values
 
 
-def apply_update_cells(values, decomp, pair):
+def apply_update_cells(values, shift):
     """sldg1d.apply_update on a copy of values shaped (..., n_cells, p+1)."""
-    return apply_update(np.array(values, dtype=float)[..., None], decomp, pair)[..., 0]
+    return apply_update(np.array(values, dtype=float)[..., None], shift)[..., 0]
 
 
 def projection_oracle(values, displacement: float, width: float, basis, bc: str = PERIODIC):

@@ -15,7 +15,7 @@ from sldg_vlasov.driver import (
     fit_damping_rate,
     run,
 )
-from sldg_vlasov.sldg1d import decompose_shift, overlap_pair
+from sldg_vlasov.sldg1d import shift_matrices
 from sldg_vlasov.vmesh import build_mesh, ip_count
 from sldg_vlasov.vsweep import advect_velocity, build_sweep_plan, sweep_pencil
 
@@ -32,7 +32,7 @@ def test_criterion_1_partition_of_unity():
     for p in range(1, 6):
         basis = DGBasis(p)
         for frac in rng.random(1000):
-            pair = overlap_pair(basis, frac)
+            pair = shift_matrices(basis, frac, 1.0, 1.0)
             viol = np.abs(
                 basis.weights @ (pair.same + pair.neighbor) - basis.weights
             ).max()
@@ -53,8 +53,7 @@ def test_criterion_2_oracle_equivalence():
         disp = rng.uniform(-2.5 * n, 2.5 * n)
         bc = "periodic" if rng.random() < 0.7 else "absorbing"
         if bc == "periodic":
-            d = decompose_shift(disp, 1.0, 1.0)
-            got = apply_update_cells(vals, d, overlap_pair(basis, d.frac))
+            got = apply_update_cells(vals, shift_matrices(basis, disp, 1.0, 1.0))
         else:  # the velocity sweep on a uniform pencil
             got = sweep_pencil(vals, np.ones(n), disp, 1.0, bc, basis)
         expect = projection_oracle(vals, disp, 1.0, basis, bc)
@@ -93,8 +92,8 @@ def test_criterion_3_polynomial_exactness():
         vals = poly(coords)
         scale = max(1.0, np.abs(vals).max())
         for disp in rng.uniform(-3 * n * h, 3 * n * h, size=37):
-            d = decompose_shift(disp, 1.0, h)
-            out = apply_update_cells(vals, d, overlap_pair(basis, d.frac))
+            d = shift_matrices(basis, disp, 1.0, h)
+            out = apply_update_cells(vals, d)
             oracle = projection_oracle(vals, disp, h, basis, "periodic")
             for i in range(n):
                 src_hi = i - d.n_shift

@@ -58,6 +58,11 @@ def test_gll_degree_validation():
     for bad in (0, 9, -1, 2.5):
         with pytest.raises(ValueError):
             gll_rule(bad)
+    # DGBasis(True) used to build a degree-1 basis.
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="degree"):
+            DGBasis(bad)
+    assert DGBasis(np.int64(2)).degree == 2
 
 
 @pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))

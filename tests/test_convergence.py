@@ -1,14 +1,16 @@
 """Orders of accuracy: the velocity sweep against an exact translate in
-space, and the Strang-split solver against a fine-step run in time."""
+space, and the Strang-split solver against a fine-step run in time; and
+what refining the bulk of the Maxwellian buys over `build_mesh`'s rule."""
 
 import copy
 
 import numpy as np
 import pytest
 
+from sldg_vlasov import driver
 from sldg_vlasov.basis import DGBasis
 from sldg_vlasov.driver import SimConfig, Simulation
-from sldg_vlasov.vmesh import build_mesh
+from sldg_vlasov.vmesh import VelocityMesh, build_mesh
 from sldg_vlasov.vsweep import sweep_pencil
 
 RADIUS = 6.0
@@ -82,3 +84,36 @@ def test_strang_splitting_is_second_order_in_time():
     for name, values in (("f", errors), ("energy", drifts)):
         orders = np.log2(values[:-1] / values[1:])
         assert (orders >= 1.8).all(), (name, values, orders)
+
+
+def bulk_mesh():
+    """1V mesh on [-6, 6] with base width 3: level 2 (width 0.75) on |v| < 3,
+    level 1 (width 1.5) on 3 <= |v| <= 6, 12 cells."""
+    widths = np.array([1.5] * 2 + [0.75] * 8 + [1.5] * 2)
+    lo = -RADIUS + np.concatenate([[0.0], np.cumsum(widths[:-1])])
+    levels = np.round(np.log2(3.0 / widths)).astype(np.int64)
+    return VelocityMesh(1, RADIUS, 4, levels, lo[:, None], widths[:, None])
+
+
+def emax_history(degree, n_base=4, levels=0):
+    """E_max over 100 periodic 1V steps of dt 0.1."""
+    config = SimConfig(dim=1, n_base=n_base, levels=levels, degree=degree, bc="periodic",
+                       n_steps=100)
+    return np.array([r.e_max for r in Simulation(config).run().records])
+
+
+def test_bulk_refinement_beats_origin_refinement(monkeypatch):
+    # `build_mesh` refines only the cells nearest the origin, so at L = 2 a
+    # 1V mesh has width 0.75 on |v| < 1.5 only.  The bulk mesh has it on all
+    # of |v| < 3.  E_max errors against Nb 16 p = 5, relative to its max:
+    # build_mesh L = 2 3.23e-2 (p = 3) and 3.2e-3 (p = 5); bulk 6.48e-3 and
+    # 2.49e-5, ratios 5.0 and 129.  This documents what the mesh buys; it
+    # does not bound the solver.
+    ref = emax_history(5, n_base=16)
+    for degree, gain in ((3, 3.0), (5, 30.0)):
+        origin = emax_history(degree, levels=2)
+        with monkeypatch.context() as m:
+            m.setattr(driver, "build_mesh", lambda *args: bulk_mesh())
+            bulk = emax_history(degree)
+        errors = [np.abs(e - ref).max() / ref.max() for e in (origin, bulk)]
+        assert errors[0] >= gain * errors[1], (degree, errors)

@@ -39,6 +39,11 @@ def test_config_validation():
         SimConfig(bc="reflecting").validate()
     with pytest.raises(ValueError, match="workers"):
         SimConfig(workers=2).validate()
+    # A bool passed as 1.0 or 0.0 for these fields.
+    for name, bad in (("radius", True), ("dt", True), ("wave_number", True),
+                      ("perturbation", False)):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: bad}).validate()
     assert SimConfig().validate().length == pytest.approx(4 * np.pi)
 
 

@@ -193,6 +193,11 @@ def test_invalid_direction():
     mesh = build_mesh(1, 4, 0, 6.0)
     with pytest.raises(PencilError):
         extract_pencils(mesh, 1)
+    # True raised an unrelated numpy error and 1.0 an IndexError.
+    mesh = build_mesh(3, 4, 0, 6.0)
+    for bad in (True, 1.0):
+        with pytest.raises(PencilError, match="direction"):
+            extract_pencils(mesh, bad)
 
 
 def test_gap_detected_and_named():

@@ -2,35 +2,37 @@ import numpy as np
 import pytest
 
 from sldg_vlasov.basis import MAX_DEGREE, DGBasis
-from sldg_vlasov.sldg1d import (
-    ABSORBING,
-    PERIODIC,
-    ShiftDecomposition,
-    apply_update,
-    decompose_shift,
-    overlap_pair,
-)
+from sldg_vlasov.sldg1d import ABSORBING, PERIODIC, Shift, apply_update, shift_matrices
 from sldg_vlasov.vsweep import sweep_pencil
 
 from oracle import apply_update_cells, apply_update_two_products, projection_oracle
 
 
+_B1 = DGBasis(1)
+
+
+def _pair(basis, frac):
+    """The overlap matrices of fractional shift frac in [0, 1)."""
+    return shift_matrices(basis, frac, 1.0, 1.0)
+
+
 def test_decompose_positive():
-    d = decompose_shift(2.3, 1.0, 1.0)
+    d = shift_matrices(_B1, 2.3, 1.0, 1.0)
     assert d.n_shift == 2
     assert abs(d.frac - 0.3) < 1e-15
 
 
 def test_decompose_negative():
-    d = decompose_shift(-0.25, 1.0, 1.0)
+    d = shift_matrices(_B1, -0.25, 1.0, 1.0)
     assert d.n_shift == -1
     assert abs(d.frac - 0.75) < 1e-15
 
 
 def test_decompose_zero():
-    d = decompose_shift(0.0, 1.0, 1.0)
-    assert d == decompose_shift(0.0, 2.0, 0.5)
-    assert d.n_shift == 0 and d.frac == 0.0
+    d = shift_matrices(_B1, 0.0, 1.0, 1.0)
+    e = shift_matrices(_B1, 0.0, 2.0, 0.5)
+    assert d.n_shift == e.n_shift == 0 and d.frac == e.frac == 0.0
+    assert np.array_equal(d.same, e.same) and np.array_equal(d.neighbor, e.neighbor)
 
 
 def test_decompose_reconstructs_ratio():
@@ -39,7 +41,7 @@ def test_decompose_reconstructs_ratio():
         a = rng.uniform(-50, 50)
         dt = rng.uniform(1e-3, 2.0)
         h = rng.uniform(1e-3, 3.0)
-        d = decompose_shift(a, dt, h)
+        d = shift_matrices(_B1, a, dt, h)
         ratio = a * dt / h
         assert 0.0 <= d.frac < 1.0
         assert abs(d.n_shift + d.frac - ratio) <= 2 * np.spacing(max(1.0, abs(ratio)))
@@ -47,28 +49,29 @@ def test_decompose_reconstructs_ratio():
 
 def test_decompose_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        decompose_shift(1.0, 0.0, 1.0)
+        shift_matrices(_B1, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        decompose_shift(1.0, 1.0, -1.0)
+        shift_matrices(_B1, 1.0, 1.0, -1.0)
     with pytest.raises(ValueError, match="finite"):
-        decompose_shift(np.array([0.5, np.nan]), 1.0, 1.0)
+        shift_matrices(_B1, np.array([0.5, np.nan]), 1.0, 1.0)
     # A nan width or step used to pass its check and be blamed on the speed.
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="width"):
-            decompose_shift(1.0, 0.1, bad)
+            shift_matrices(_B1, 1.0, 0.1, bad)
         with pytest.raises(ValueError, match="dt"):
-            decompose_shift(1.0, bad, 0.1)
+            shift_matrices(_B1, 1.0, bad, 0.1)
     # From 2**53 cells on a double has no fractional shift and the int64 cast
     # would wrap (1e300 gave n_shift = -2**63).
     for speed in (1e300, -2.0**53, np.array([0.5, 2.0**53])):
         with pytest.raises(ValueError, match="shift"):
-            decompose_shift(speed, 1.0, 1.0)
-    assert decompose_shift(-(2.0**53 - 1), 1.0, 1.0) == ShiftDecomposition(-(2**53 - 1), 0.0)
+            shift_matrices(_B1, speed, 1.0, 1.0)
+    d = shift_matrices(_B1, -(2.0**53 - 1), 1.0, 1.0)
+    assert (d.n_shift, d.frac) == (-(2**53 - 1), 0.0)
 
 
 def test_overlap_zero_shift_is_identity():
     basis = DGBasis(3)
-    pair = overlap_pair(basis, 0.0)
+    pair = _pair(basis, 0.0)
     assert np.array_equal(pair.same, np.eye(4))
     assert np.array_equal(pair.neighbor, np.zeros((4, 4)))
 
@@ -77,28 +80,33 @@ def test_batched_shift_and_overlap_match_scalar():
     # Arrays of speeds (as the velocity sweep passes per column block) give
     # the scalar decomposition exactly, including the fold just below 1, and
     # the scalar overlap pairs to round-off; a zero shift stays exact.
+    # Indexing the batch indexes every field.
     basis = DGBasis(3)
     speeds = np.array([2.3, -0.25, 0.0, np.nextafter(1.0, 0.0), -7.9, 1e-300])
-    d = decompose_shift(speeds, 1.0, 1.0)
-    pairs = overlap_pair(basis, d.frac)
-    assert pairs.same.shape == (speeds.size, 4, 4)
+    d = shift_matrices(basis, speeds, 1.0, 1.0)
+    assert d.same.shape == d.neighbor.shape == (speeds.size, 4, 4)
     for k, speed in enumerate(speeds):
-        ref = decompose_shift(float(speed), 1.0, 1.0)
+        ref = shift_matrices(basis, float(speed), 1.0, 1.0)
         assert (d.n_shift[k], d.frac[k]) == (ref.n_shift, ref.frac)
-        pair = overlap_pair(basis, ref.frac)
-        np.testing.assert_allclose(pairs.same[k], pair.same, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(pairs.neighbor[k], pair.neighbor, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d.same[k], ref.same, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d.neighbor[k], ref.neighbor, rtol=0, atol=1e-15)
+        one = d[k]
+        assert isinstance(one, Shift) and (one.n_shift, one.frac) == (d.n_shift[k], d.frac[k])
+        assert np.array_equal(one.same, d.same[k]) and np.array_equal(one.neighbor, d.neighbor[k])
     assert (d.n_shift[3], d.frac[3]) == (1, 0.0)
-    assert np.array_equal(pairs.same[2], np.eye(4))
-    with pytest.raises(ValueError):
-        overlap_pair(basis, np.array([0.5, 1.0]))
+    assert np.array_equal(d.same[2], np.eye(4))
 
 
 def test_overlap_rejects_out_of_range():
+    # Shifts outside [0, 1) cell widths never reach the overlap matrices:
+    # they are split into whole cells and a fraction in [0, 1), whose
+    # matrices they share.
     basis = DGBasis(2)
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            overlap_pair(basis, bad)
+    for shift in (-0.1, 1.0, 1.5, -3.0):
+        d = shift_matrices(basis, shift, 1.0, 1.0)
+        assert 0.0 <= d.frac < 1.0 and d.n_shift == np.floor(shift)
+        ref = _pair(basis, d.frac)
+        assert np.array_equal(d.same, ref.same) and np.array_equal(d.neighbor, ref.neighbor)
 
 
 @pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
@@ -108,7 +116,7 @@ def test_partition_of_unity(p):
     basis = DGBasis(p)
     worst = 0.0
     for frac in rng.random(1000):
-        pair = overlap_pair(basis, frac)
+        pair = _pair(basis, frac)
         viol = np.abs(basis.weights @ (pair.same + pair.neighbor) - basis.weights).max()
         worst = max(worst, viol)
     assert worst < 1e-12
@@ -117,7 +125,7 @@ def test_partition_of_unity(p):
 def test_overlap_matches_oracle_alpha03_p3():
     # Entrywise check by feeding unit vectors through the projection oracle.
     basis = DGBasis(3)
-    pair = overlap_pair(basis, 0.3)
+    pair = _pair(basis, 0.3)
     n = 5
     for j in range(4):
         vals = np.zeros((n, 4))
@@ -130,9 +138,7 @@ def test_overlap_matches_oracle_alpha03_p3():
 
 
 def _advect(values, displacement, width, basis):
-    d = decompose_shift(displacement, 1.0, width)
-    pair = overlap_pair(basis, d.frac)
-    return apply_update_cells(values, d, pair)
+    return apply_update_cells(values, shift_matrices(basis, displacement, 1.0, width))
 
 
 def test_apply_update_vs_oracle_random():
@@ -165,15 +171,15 @@ def test_apply_update_matches_two_products_on_strided_view(p, n):
     # rows of the x-major state), here with a leading batch axis too.
     # Columns outside the view keep their bits.
     rng = np.random.default_rng(1000 * p + n)
-    pair = overlap_pair(DGBasis(p), 0.37)
+    pair = _pair(DGBasis(p), 0.37)
     for n_shift in (-2 * n - 3, -n, -1, 0, 1, n, 3 * n + 2):
-        d = ShiftDecomposition(n_shift, 0.37)
+        d = Shift(n_shift, pair.frac, pair.same, pair.neighbor)
         a = rng.standard_normal((2, n * (p + 1), 40))
         before = a.copy()
         view = a[:, :, 5:17].reshape(2, n, p + 1, 12)
         assert not view.flags.c_contiguous and np.shares_memory(view, a)
-        want = apply_update_two_products(view.copy(), d, pair)
-        assert apply_update(view, d, pair) is view
+        want = apply_update_two_products(view.copy(), d)
+        assert apply_update(view, d) is view
         scale = np.abs(before[:, :, 5:17]).max()
         assert np.abs(view - want).max() <= 1e-14 * scale
         outside = np.ones(40, dtype=bool)
@@ -196,9 +202,9 @@ def test_full_wrap_is_identity():
     rng = np.random.default_rng(13)
     basis = DGBasis(2)
     vals = rng.standard_normal((6, 3))
-    d = decompose_shift(6.0, 1.0, 1.0)
+    d = shift_matrices(basis, 6.0, 1.0, 1.0)
     assert d.n_shift == 6 and d.frac == 0.0
-    out = apply_update_cells(vals, d, overlap_pair(basis, 0.0))
+    out = apply_update_cells(vals, d)
     np.testing.assert_allclose(out, vals, atol=0)
 
 
@@ -217,7 +223,7 @@ def test_polynomial_exactness(p):
     scale = max(1.0, np.abs(vals).max())
     for disp in rng.uniform(-3 * n * h, 3 * n * h, size=10):
         out = _advect(vals, disp, h, basis)
-        d = decompose_shift(disp, 1.0, h)
+        d = shift_matrices(_B1, disp, 1.0, h)
         for i in range(n):
             src_hi = i - d.n_shift
             wrap_hi, wrap_lo = (src_hi // n), ((src_hi - 1) // n)
@@ -233,14 +239,13 @@ def test_two_cell_locality():
     basis = DGBasis(3)
     n = 9
     vals = rng.standard_normal((n, 4))
-    d = decompose_shift(2.6, 1.0, 1.0)
-    pair = overlap_pair(basis, d.frac)
-    full = apply_update_cells(vals, d, pair)
+    d = shift_matrices(basis, 2.6, 1.0, 1.0)
+    full = apply_update_cells(vals, d)
     i = 5
     masked = np.zeros_like(vals)
     for src in (i - d.n_shift, i - d.n_shift - 1):
         masked[src % n] = vals[src % n]
-    local = apply_update_cells(masked, d, pair)
+    local = apply_update_cells(masked, d)
     np.testing.assert_allclose(local[i], full[i], atol=0)
 
 
@@ -277,8 +282,7 @@ def test_linearity():
     u = rng.standard_normal((6, 4))
     w = rng.standard_normal((6, 4))
     a, b = 1.7, -0.4
-    d = decompose_shift(0.83, 1.0, 1.0)
-    pair = overlap_pair(basis, d.frac)
-    lhs = apply_update_cells(a * u + b * w, d, pair)
-    rhs = a * apply_update_cells(u, d, pair) + b * apply_update_cells(w, d, pair)
+    d = shift_matrices(basis, 0.83, 1.0, 1.0)
+    lhs = apply_update_cells(a * u + b * w, d)
+    rhs = a * apply_update_cells(u, d) + b * apply_update_cells(w, d)
     assert np.abs(lhs - rhs).max() <= 1e-12

@@ -107,6 +107,13 @@ def test_invalid_parameters():
         build_mesh(3, 4, 4, 6.0)
     with pytest.raises(MeshError):
         build_mesh(3, 4, 0, -1.0)
+    # A bool passed for a count or the radius used to build a mesh: True
+    # as the level gave 120 cells, as the radius a domain of radius 1.
+    for args, name in (((3, 4, True, 6.0), "max_level"), ((3, 4, 1.0, 6.0), "refinement level"),
+                       ((True, 4, 0, 6.0), "dim"), ((3.0, 4, 0, 6.0), "dimension"),
+                       ((3, True, 0, 6.0), "n_base"), ((1, 4, 1, True), "radius")):
+        with pytest.raises(MeshError, match=name):
+            build_mesh(*args)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])

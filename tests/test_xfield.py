@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sldg_vlasov.basis import DGBasis
+from sldg_vlasov.sldg1d import index_runs, shift_matrices
 from sldg_vlasov.driver import maxwellian, velocity_dof_coords, velocity_dof_weights
 from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
@@ -12,7 +13,6 @@ from sldg_vlasov.xfield import (
     compute_rho,
     field_energy,
     precompute_x_matrices,
-    rescale_x_plan,
 )
 
 from oracle import projection_oracle
@@ -45,7 +45,7 @@ def test_precompute_zero_speed_identity(xgrid):
     plan = precompute_x_matrices(xgrid, np.array([0.0, 1.3]), 0.05)
     zero = [g for g in plan.groups if g.decomp.n_shift == 0 and g.decomp.frac == 0.0]
     assert len(zero) == 1
-    np.testing.assert_array_equal(zero[0].pair.same, np.eye(3))
+    np.testing.assert_array_equal(zero[0].decomp.same, np.eye(3))
 
 
 def test_precompute_dedup_equal_speeds(xgrid):
@@ -61,22 +61,35 @@ def test_precompute_partition_of_unity(xgrid):
     plan = precompute_x_matrices(xgrid, speeds, 0.05)
     w = xgrid.basis.weights
     for g in plan.groups:
-        assert np.abs(w @ (g.pair.same + g.pair.neighbor) - w).max() < 1e-12
+        assert np.abs(w @ (g.decomp.same + g.decomp.neighbor) - w).max() < 1e-12
 
 
-def test_rescale_matches_precompute(xgrid):
-    # The full-dt plan derived from the half-dt plan's groups is the plan
-    # built from scratch at the full dt, bit for bit.
-    speeds = np.array([0.7, -0.2, 0.0, 0.7, 3.9, -0.2, -5.1])
+@pytest.mark.parametrize("speeds", [
+    [0.7, -0.2, 0.0, 0.7, 0.7, 3.9, -0.2, -5.1, 0.7],  # 0.7 and -0.2 recur apart
+    [0.0, -0.0, 1.3, -0.0, 0.0, 0.0, 1.3, -0.0],        # signed zeros mix in one group
+    [2.5],
+    np.random.default_rng(4).choice([-1.1, 0.0, 0.4, 2.2], size=200),
+])
+def test_precompute_groups_rows_and_runs(xgrid, speeds):
+    # One group per distinct speed, ascending, holding its rows and their
+    # maximal runs of consecutive rows, as np.unique and index_runs give
+    # them; each group's shift is that speed's, bit for bit.  The dt and
+    # dt/2 plans share their rows and runs.
+    speeds = np.asarray(speeds, dtype=float)
+    uniq, inverse = np.unique(speeds, return_inverse=True)
     half = precompute_x_matrices(xgrid, speeds, 0.05)
-    got = rescale_x_plan(xgrid, half, 0.1)
-    want = precompute_x_matrices(xgrid, speeds, 0.1)
-    assert got.n_cells == want.n_cells and len(got.groups) == len(want.groups)
-    for a, b in zip(got.groups, want.groups):
-        np.testing.assert_array_equal(a.rows, b.rows)
-        assert (a.speed, a.decomp) == (b.speed, b.decomp)
-        np.testing.assert_array_equal(a.pair.same, b.pair.same)
-        np.testing.assert_array_equal(a.pair.neighbor, b.pair.neighbor)
+    full = precompute_x_matrices(xgrid, speeds, 0.1)
+    assert half.n_cells == full.n_cells == xgrid.n_cells
+    assert len(half.groups) == len(full.groups) == len(uniq)
+    for dt, plan in ((0.05, half), (0.1, full)):
+        want = shift_matrices(xgrid.basis, uniq, dt, xgrid.h)
+        for u, g in enumerate(plan.groups):
+            rows = np.nonzero(inverse == u)[0]
+            np.testing.assert_array_equal(g.rows, rows)
+            assert g.runs == index_runs(rows)
+            assert (g.decomp.n_shift, g.decomp.frac) == (want.n_shift[u], want.frac[u])
+            np.testing.assert_array_equal(g.decomp.same, want.same[u])
+            np.testing.assert_array_equal(g.decomp.neighbor, want.neighbor[u])
 
 
 def test_precompute_rejects_nonfinite(xgrid):
