@@ -19,6 +19,7 @@ of envelope peaks.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -38,6 +39,11 @@ from .vsweep import classify_conforming  # noqa: F401
 
 # Linear Landau damping rate of the k = 0.5 Maxwellian benchmark.
 LANDAU_RATE_K05 = -0.1533
+
+
+def _real(value) -> bool:
+    """Whether `value` is a real number and not a bool (a bool would pass as 1.0 or 0.0)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # SimConfig fields that count something and must be integers.
@@ -82,7 +88,7 @@ class SimConfig:
             raise ValueError(f"n_x must be >= 4, got {self.n_x}")
         for name in ("radius", "wave_number", "dt"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not 0 < value < np.inf:
+            if not _real(value) or not 0 < value < np.inf:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
@@ -90,7 +96,7 @@ class SimConfig:
             raise ValueError(f"bc must be absorbing or periodic, got {self.bc!r}")
         if self.workers != 1:
             raise ValueError(f"workers must be 1 (the solver is serial), got {self.workers}")
-        if isinstance(self.perturbation, bool) or not 0 <= self.perturbation < 1:
+        if not _real(self.perturbation) or not 0 <= self.perturbation < 1:
             raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation!r}")
         if not isinstance(self.force_slow, (bool, np.bool_)):
             raise ValueError(f"force_slow must be a bool, got {self.force_slow!r}")

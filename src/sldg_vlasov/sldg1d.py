@@ -10,10 +10,10 @@ kernel gives the generalized blocks of the AMR velocity sweep.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import DGBasis
 
@@ -91,10 +91,9 @@ def shift_matrices(basis: DGBasis, speed, dt: float, width: float) -> Shift:
     destination and same-index source [-1, 1], the neighbor [-3, -1],
     displacement 2*frac.  A zero remainder gives exactly (I, 0).
     """
-    if not 0.0 < width < np.inf:
-        raise ValueError(f"cell width must be positive and finite, got {width}")
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"time step dt must be positive and finite, got {dt}")
+    for name, value in (("cell width", width), ("time step dt", dt)):
+        if not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     ratio = np.asarray(speed, dtype=float) * dt / width
     if not np.isfinite(ratio).all():
         raise ValueError(f"shift speed*dt/width must be finite, got speed {speed}")
@@ -121,25 +120,45 @@ def shift_matrices(basis: DGBasis, speed, dt: float, width: float) -> Shift:
     return Shift(n_shift, frac, same, neighbor)
 
 
-def apply_update(values, shift: Shift):
+def cell_windows(ext):
+    """The 2-cell windows of `ext`, a C-contiguous (..., n + 1, p+1, n_lines) array.
+
+    Returns a writable view shaped (..., n, 2(p+1), n_lines) whose window j
+    stacks cells j and j + 1: in C order the two cells are adjacent, so the
+    window steps one cell and keeps every stride of `ext`.
+    """
+    if not ext.flags.c_contiguous:
+        raise ValueError("cell windows need a C-contiguous scratch")
+    shape = ext.shape[:-3] + (ext.shape[-3] - 1, 2 * ext.shape[-2], ext.shape[-1])
+    return np.ndarray(shape, ext.dtype, ext, strides=ext.strides)
+
+
+def apply_update(values, shift: Shift, windows=None, pair=None):
     """One periodic SLDG advection step on a uniform pencil, in place.
 
     `values` is a float array shaped (..., n_cells, p+1, n_lines), updated
     alike for each trailing line: destination cell i draws from source
     cells i - n_shift and i - n_shift - 1 only, wrapped modulo the pencil
-    length.  Returns `values`.
+    length.  Two slice copies fill a rolled scratch of n_cells + 1 cells,
+    ext[i] = values[(i + first) % n_cells] with first = (-n_shift - 1) %
+    n_cells, so window i of the scratch holds destination cell i's
+    (neighbor, same) sources; one product of pair = [neighbor | same] over
+    all windows then writes straight into `values`.  `windows` (the
+    `cell_windows` of such a scratch) and `pair` may be passed in prebuilt;
+    otherwise they are made here.  Returns `values`.
     """
     if values.ndim < 3:
         raise ValueError("expected pencil values of shape (..., n_cells, p+1, n_lines)")
     n, o = values.shape[-3:-1]
-    # One copy with cell 0 appended after the last cell: the 2(p+1) rows
-    # from cell j on hold source cells j and j + 1 (mod n), the (neighbor,
-    # same) pair of destination cell j + n_shift + 1.
-    ext = np.concatenate([values, values[..., :1, :, :]], axis=-3)
-    rows = ext.reshape(ext.shape[:-3] + ((n + 1) * o, ext.shape[-1]))
-    windows = np.swapaxes(sliding_window_view(rows, 2 * o, axis=-2)[..., ::o, :, :], -1, -2)
-    op = np.concatenate([shift.neighbor, shift.same], axis=-1)
-    j0 = (-shift.n_shift - 1) % n
-    np.matmul(op, windows[..., j0:, :, :], out=values[..., : n - j0, :, :])
-    np.matmul(op, windows[..., :j0, :, :], out=values[..., n - j0 :, :, :])
+    if windows is None:
+        windows = cell_windows(np.empty(values.shape[:-3] + (n + 1,) + values.shape[-2:],
+                                        values.dtype))
+    if pair is None:
+        pair = np.concatenate([shift.neighbor, shift.same], axis=-1)
+    first = (-shift.n_shift - 1) % n
+    # Scratch cells 0 .. n - first - 1 are the first halves of the leading
+    # windows, cells n - first .. n the second halves of the trailing ones.
+    windows[..., : n - first, :o, :] = values[..., first:, :, :]
+    windows[..., n - first - 1 :, o:, :] = values[..., : first + 1, :, :]
+    np.matmul(pair, windows, out=values)
     return values

@@ -8,6 +8,7 @@ level jumps between face neighbors never exceed one.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,8 @@ def build_mesh(dim: int, n_base: int, max_level: int, radius: float) -> Velocity
         raise MeshError(f"base cell count must be an integer >= 2, got {n_base!r}")
     if not isinstance(max_level, (int, np.integer)) or not 0 <= max_level <= 3:
         raise MeshError(f"refinement level must be an integer in [0, 3], got {max_level!r}")
-    if not 0 < radius < np.inf:
-        raise MeshError(f"domain radius must be positive and finite, got {radius}")
+    if not isinstance(radius, numbers.Real) or not 0 < radius < np.inf:
+        raise MeshError(f"domain radius must be positive and finite, got {radius!r}")
 
     h0 = 2.0 * radius / n_base
     tol = 1e-9 * h0

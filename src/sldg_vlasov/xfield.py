@@ -4,19 +4,21 @@ The x-advection reuses the uniform-grid SLDG update with one precomputed
 `Shift` per distinct velocity-DOF speed and step length (speeds never
 change, so the shifts are built once before the time loop).  Each group's
 rows update as runs of consecutive equal-speed rows, one contiguous block
-of the x-major field per run.  The Poisson equation is discretized with
-continuous finite elements of the same degree on the same cells and solved
-directly with a zero-mean constraint to fix the periodic null space.
+of the x-major field per run; the runs of one x-step share one rolled
+scratch.  The Poisson equation is discretized with continuous finite
+elements of the same degree on the same cells and solved directly with a
+zero-mean constraint to fix the periodic null space.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis import DGBasis
-from .sldg1d import Shift, apply_update, shift_matrices
+from .sldg1d import Shift, apply_update, cell_windows, shift_matrices
 
 
 class XGrid:
@@ -30,8 +32,8 @@ class XGrid:
             raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
         if n_cells < 4:
             raise ValueError(f"need at least 4 x-cells, got {n_cells}")
-        if not 0 < length < np.inf:
-            raise ValueError(f"domain length must be positive and finite, got {length}")
+        if not isinstance(length, numbers.Real) or not 0 < length < np.inf:
+            raise ValueError(f"domain length must be positive and finite, got {length!r}")
         self.n_cells = int(n_cells)
         self.length = float(length)
         self.basis = DGBasis(degree)
@@ -52,6 +54,11 @@ class _SpeedGroup:
     rows: np.ndarray
     runs: tuple               # slices of consecutive rows covering `rows`
     decomp: Shift             # perfbench/spans.plan_counts reads it by this name
+    pair: np.ndarray          # [neighbor | same], the operator of apply_update
+
+    @property
+    def moving(self) -> bool:
+        return bool(self.decomp.n_shift != 0 or self.decomp.frac != 0.0)
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,13 @@ class XAdvectionPlan:
 
     Each group's rows go as runs of consecutive rows: a run is one
     contiguous block of every x DOF's velocity values when f is stored
-    x-major.
+    x-major.  `run_lengths` holds the distinct lengths of the moving
+    groups' runs, ascending.
     """
 
     n_cells: int
     groups: tuple
+    run_lengths: tuple
 
 
 def _positions_by_key(keys) -> list:
@@ -88,11 +97,13 @@ def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
     rows = _positions_by_key(np.repeat(speed_of, stops - starts))
     runs = _positions_by_key(speed_of)
     shift = shift_matrices(xgrid.basis, uniq, dt, xgrid.h)
+    pair = np.concatenate([shift.neighbor, shift.same], axis=-1)
     groups = tuple(
-        _SpeedGroup(r, tuple(slice(int(starts[k]), int(stops[k])) for k in ks), shift[u])
+        _SpeedGroup(r, tuple(slice(int(starts[k]), int(stops[k])) for k in ks), shift[u], pair[u])
         for u, (r, ks) in enumerate(zip(rows, runs))
     )
-    return XAdvectionPlan(xgrid.n_cells, groups)
+    lengths = {r.stop - r.start for g in groups if g.moving for r in g.runs}
+    return XAdvectionPlan(xgrid.n_cells, groups, tuple(sorted(lengths)))
 
 
 def advect_x(f, plan: XAdvectionPlan):
@@ -100,16 +111,24 @@ def advect_x(f, plan: XAdvectionPlan):
 
     `f` is shaped (n_velocity_dofs, n_x_dofs), in any memory order.  Each
     run of equal-speed rows updates in place as one (n_cells, p+1, rows)
-    block of f.T; zero-speed rows keep their bits.  Updates f in place and
-    returns it.
+    block of f.T; zero-speed rows keep their bits.  The runs share one
+    scratch, sized by the longest run and freed on return, with one window
+    view per distinct run length.  Updates f in place and returns it.
     """
+    if not plan.run_lengths:
+        return f
+    n = plan.n_cells
+    o = f.shape[1] // n
+    ext_rows = (n + 1) * o
+    scratch = np.empty(ext_rows * plan.run_lengths[-1], f.dtype)
+    windows = {m: cell_windows(scratch[: ext_rows * m].reshape(n + 1, o, m))
+               for m in plan.run_lengths}
     ft = f.T
     for g in plan.groups:
-        if g.decomp.n_shift == 0 and g.decomp.frac == 0.0:
-            continue
-        for run in g.runs:
-            block = ft[:, run].reshape(plan.n_cells, -1, run.stop - run.start)
-            apply_update(block, g.decomp)
+        if g.moving:
+            for run in g.runs:
+                m = run.stop - run.start
+                apply_update(ft[:, run].reshape(n, o, m), g.decomp, windows[m], g.pair)
     return f
 
 

@@ -44,6 +44,11 @@ def test_config_validation():
                       ("perturbation", False)):
         with pytest.raises(ValueError, match=name):
             SimConfig(**{name: bad}).validate()
+    # A non-numeric real used to raise a bare TypeError from the comparison.
+    for name, bad in (("radius", "6"), ("dt", "0.1"), ("perturbation", "0.01"),
+                      ("radius", None), ("dt", 1 + 2j), ("wave_number", "0.5")):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: bad}).validate()
     assert SimConfig().validate().length == pytest.approx(4 * np.pi)
 
 

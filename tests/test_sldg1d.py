@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sldg_vlasov.basis import MAX_DEGREE, DGBasis
-from sldg_vlasov.sldg1d import ABSORBING, PERIODIC, Shift, apply_update, shift_matrices
+from sldg_vlasov.sldg1d import (ABSORBING, PERIODIC, Shift, apply_update, cell_windows,
+                                shift_matrices)
 from sldg_vlasov.vsweep import sweep_pencil
 
 from oracle import apply_update_cells, apply_update_two_products, projection_oracle
@@ -60,6 +61,12 @@ def test_decompose_rejects_bad_inputs():
             shift_matrices(_B1, 1.0, 0.1, bad)
         with pytest.raises(ValueError, match="dt"):
             shift_matrices(_B1, 1.0, bad, 0.1)
+    # A non-numeric step or width used to raise a bare TypeError.
+    for bad in ("0.1", None, 0.1 + 0j):
+        with pytest.raises(ValueError, match="dt"):
+            shift_matrices(_B1, 1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="width"):
+            shift_matrices(_B1, 1.0, 0.1, bad)
     # From 2**53 cells on a double has no fractional shift and the int64 cast
     # would wrap (1e300 gave n_shift = -2**63).
     for speed in (1e300, -2.0**53, np.array([0.5, 2.0**53])):
@@ -169,9 +176,12 @@ def test_apply_update_vs_oracle_random():
 def test_apply_update_matches_two_products_on_strided_view(p, n):
     # The x-advection hands apply_update a strided view of f (a run of
     # rows of the x-major state), here with a leading batch axis too.
-    # Columns outside the view keep their bits.
+    # Columns outside the view keep their bits.  One prebuilt scratch,
+    # reused across shifts as advect_x reuses it across runs, gives the
+    # bits of a fresh one.
     rng = np.random.default_rng(1000 * p + n)
     pair = _pair(DGBasis(p), 0.37)
+    windows = cell_windows(np.empty((2, n + 1, p + 1, 12)))
     for n_shift in (-2 * n - 3, -n, -1, 0, 1, n, 3 * n + 2):
         d = Shift(n_shift, pair.frac, pair.same, pair.neighbor)
         a = rng.standard_normal((2, n * (p + 1), 40))
@@ -185,6 +195,19 @@ def test_apply_update_matches_two_products_on_strided_view(p, n):
         outside = np.ones(40, dtype=bool)
         outside[5:17] = False
         assert np.array_equal(a[:, :, outside], before[:, :, outside])
+        again = before[:, :, 5:17].reshape(2, n, p + 1, 12)
+        op = np.concatenate([d.neighbor, d.same], axis=-1)
+        assert np.array_equal(apply_update(again, d, windows, op), view)
+
+
+def test_cell_windows_stack_adjacent_cells():
+    ext = np.arange(2 * 4 * 3 * 5.0).reshape(2, 4, 3, 5)
+    win = cell_windows(ext)
+    assert win.shape == (2, 3, 6, 5) and np.shares_memory(win, ext)
+    for j in range(3):
+        np.testing.assert_array_equal(win[:, j], ext[:, j : j + 2].reshape(2, 6, 5))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        cell_windows(ext[..., ::2])
 
 
 def test_mass_conserved_periodic():

@@ -114,6 +114,10 @@ def test_invalid_parameters():
                        ((3, True, 0, 6.0), "n_base"), ((1, 4, 1, True), "radius")):
         with pytest.raises(MeshError, match=name):
             build_mesh(*args)
+    # A non-numeric radius used to raise a bare TypeError from the comparison.
+    for radius in ("6", None, 6 + 0j):
+        with pytest.raises(MeshError, match="radius"):
+            build_mesh(1, 4, 1, radius)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])

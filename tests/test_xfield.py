@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sldg_vlasov.basis import DGBasis
-from sldg_vlasov.sldg1d import index_runs, shift_matrices
+from sldg_vlasov.sldg1d import apply_update, index_runs, shift_matrices
 from sldg_vlasov.driver import maxwellian, velocity_dof_coords, velocity_dof_weights
 from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
@@ -37,6 +37,10 @@ def test_xgrid_layout(xgrid):
         with pytest.raises(ValueError, match="n_cells"):
             XGrid(n_cells, 2, LENGTH)
     for length in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="length"):
+            XGrid(8, 2, length)
+    # A non-numeric length used to raise a bare TypeError from the comparison.
+    for length in ("3.0", None, 1 + 2j):
         with pytest.raises(ValueError, match="length"):
             XGrid(8, 2, length)
 
@@ -154,6 +158,41 @@ def test_advect_x_fractional_shifts_match_oracle():
     for row, speed in enumerate(speeds):
         want = projection_oracle(f0[row].reshape(6, 4), speed * dt, xg.h, xg.basis)
         assert np.abs(f[row] - want.ravel()).max() <= 1e-12
+
+
+def test_advect_x_shared_scratch_matches_apply_update_per_run():
+    # The runs of one x-step share one rolled scratch with one window view
+    # per run length.  This plan on an odd 5-cell grid has runs of lengths
+    # 4, 2, 3 and 1 in the order they are applied (groups by ascending
+    # speed, runs in row order), so shorter runs reuse a scratch a longer
+    # run filled; a shift of -7.25 cells (more than one period); and an
+    # integer shift of -2 cells whose pair is [0 | I].  advect_x must give
+    # the bits of apply_update on a copy of each run, in either memory order.
+    rng = np.random.default_rng(25)
+    xg = XGrid(5, 2, 5.0)
+    cells = np.array([0.37] * 3 + [-7.25] * 4 + [0.0] + [-2.0] * 2 + [0.37] + [6.6] * 2)
+    plan = precompute_x_matrices(xg, cells, 1.0)
+    assert plan.run_lengths == (1, 2, 3, 4)
+    applied = [r.stop - r.start for g in plan.groups if g.moving for r in g.runs]
+    assert applied == [4, 2, 3, 1, 2]
+    integer = plan.groups[1]
+    assert (integer.decomp.n_shift, integer.decomp.frac) == (-2, 0.0)
+    np.testing.assert_array_equal(integer.pair, np.hstack([np.zeros((3, 3)), np.eye(3)]))
+    assert plan.groups[0].decomp.n_shift == -8
+
+    f0 = rng.standard_normal((cells.size, xg.n_dofs))
+    want = f0.copy()
+    for g in plan.groups:
+        if g.moving:
+            for run in g.runs:
+                block = f0[run].T.reshape(5, 3, -1).copy()
+                want[run] = apply_update(block, g.decomp).reshape(xg.n_dofs, -1).T
+    for row, shift in enumerate(cells):
+        exact = projection_oracle(f0[row].reshape(5, 3), shift, xg.h, xg.basis)
+        assert np.abs(want[row] - exact.ravel()).max() <= 1e-12
+    for f in (f0.copy(), np.ascontiguousarray(f0.T).T):
+        assert advect_x(f, plan) is f
+        np.testing.assert_array_equal(f, want)
 
 
 def test_compute_rho_zero():
