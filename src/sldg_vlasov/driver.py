@@ -9,6 +9,17 @@ the next step applies it together with its own leading half as a full
 x-step, and `Simulation.sync()` applies a pending half step on its own.
 `Simulation.run()` syncs before it returns.
 
+A step makes three passes over f: the x-step and the v-sweep, which read
+and write it, and one read pass after the v-sweep that sums each x speed
+group's rows with the velocity weights w and, in 3V, with
+w (v_y^2 + v_z^2) (`xfield.group_sums`).  The record's moments come from
+these sums.  So does the next step's charge density: the x-step is
+linear and moves a group's rows alike, so the group's sum moved by the
+group's own shift (`xfield.advect_sums`) is the sum of the moved rows.
+The sums are carried from one step to the next only while f is untouched
+outside `step()`: `sync()` and any read or assignment of `Simulation.f`
+drop them, and the next field solve takes them afresh from f.
+
 Diagnostics (max field, velocity moments, field and total energy) are
 recorded once per completed step and are valid with a half x-step
 pending: the moments integrate each velocity row over x first, and the
@@ -29,7 +40,7 @@ from .basis import MAX_DEGREE, DGBasis
 from .sldg1d import ABSORBING, PERIODIC
 from .vmesh import build_mesh, ip_count
 from .vsweep import advect_velocity, build_sweep_plan
-from .xfield import (PoissonSolver, XGrid, advect_x, compute_rho, field_energy,
+from .xfield import (PoissonSolver, XGrid, advect_sums, advect_x, field_energy, group_sums,
                      precompute_x_matrices)
 
 # The traced benchmark wraps these names here; build_sweep_plan calls them itself.
@@ -176,24 +187,28 @@ def sample_initial(config: SimConfig, vcoords, xcoords) -> np.ndarray:
     return (gx[:, None] * gv[None, :]).T
 
 
-def moment_weights(velocity_weights, vcoords) -> np.ndarray:
-    """(3, n_v) velocity quadrature weights of the mass, x-momentum and energy moments."""
-    v2 = sum(c**2 for c in vcoords.T)  # one pass per axis, far faster than a row-wise sum
-    return np.stack([velocity_weights, velocity_weights * vcoords[:, 0], velocity_weights * v2])
+def sum_weights(velocity_weights, vcoords) -> np.ndarray:
+    """Velocity weights of the per-speed-group sums of f, shaped (1 + (dim > 1), n_v).
 
-
-def moments(f, weights, x_weights):
-    """Velocity moments (mass, x-momentum, energy moment) of the field.
-
-    `weights` are the field's `moment_weights`; each velocity row is
-    integrated over x first.  Each moment is its own dot product: one
-    (3, n_v) matrix-vector product sums in another order, and on q3-4-1
-    with periodic v it read a mass error of 2.5e-15 after 10 steps where
-    the dot products read 4e-16.
+    Row 0 holds the quadrature weights w; in 3V, row 1 holds w (v_y^2 + v_z^2).
     """
-    col = f @ x_weights
-    m0, m1, m2 = (float(w @ col) for w in weights)
-    return m0, m1, m2
+    if vcoords.shape[1] == 1:
+        return velocity_weights[None]
+    perp2 = sum(c**2 for c in vcoords.T[1:])  # one pass per axis, far faster than a row-wise sum
+    return np.stack([velocity_weights, velocity_weights * perp2])
+
+
+def sum_moments(sums, speeds, x_weights):
+    """Velocity moments (mass, x-momentum, energy moment) from per-speed-group sums.
+
+    `sums` are the `group_sums` of f with its `sum_weights` and `speeds`
+    each group's v_x.  Each group's sums are integrated over x first:
+    with c = sums[g] @ x_weights, m0 = sum c0, m1 = sum v_g c0 and
+    m2 = sum (v_g^2 c0 + c1).
+    """
+    c = sums @ x_weights
+    c0 = c[:, 0]
+    return float(c0.sum()), float(speeds @ c0), float(speeds**2 @ c0 + c[:, 1:].sum())
 
 
 def _peak_indices(values) -> np.ndarray:
@@ -263,22 +278,62 @@ class Simulation:
         order = self.sweep_plan.order
         self.vcoords = velocity_dof_coords(self.mesh, self.basis, self.perm)[order]
         self.vweights = velocity_dof_weights(self.mesh, self.basis, self.perm)[order]
-        self.moment_weights = moment_weights(self.vweights, self.vcoords)
+        self.sum_weights = sum_weights(self.vweights, self.vcoords)
         self.x_plan = precompute_x_matrices(self.xgrid, self.vcoords[:, 0], 0.5 * c.dt)
         self.x_plan_full = precompute_x_matrices(self.xgrid, self.vcoords[:, 0], c.dt)
         self.x_pending = False  # trailing half x-step of the last step not yet applied
         self.poisson = PoissonSolver(self.xgrid)
-        self.f = sample_initial(c, self.vcoords, self.xgrid.dof_coords)
+        self._f = sample_initial(c, self.vcoords, self.xgrid.dof_coords)
+        self._sums = None       # carried group sums, or None once dropped
+        self._moved_by = None   # the x-plan applied to f since the carried sums were taken
         self.t = 0.0
         self.n_done = 0  # completed steps
 
+    @property
+    def f(self) -> np.ndarray:
+        """The distribution function; reading or assigning it drops the carried sums.
+
+        `step()` carries the group sums its record took into the next
+        step's field.  A caller may write into the returned array between
+        steps, so every read of `f`, like every assignment and `sync()`,
+        drops them, and the next field solve takes them afresh from f as
+        it stands.  A write through an array read before the last `step()`
+        is not seen: read `f` again to write into it.
+        """
+        self._sums = None
+        return self._f
+
+    @f.setter
+    def f(self, value) -> None:
+        self._sums = None
+        self._f = value
+
+    def _group_sums(self) -> np.ndarray:
+        """The carried group sums, taken from f as it stands when none are carried."""
+        if self._sums is None:
+            self._sums = group_sums(self._f, self.x_plan, self.sum_weights)
+            self._moved_by = None
+        return self._sums
+
     def field_solve(self) -> np.ndarray:
-        rho = compute_rho(self.f, self.vweights)
+        """Electric field of f as it stands, from the group sums.
+
+        Sums carried across an x-step give the charge density moved by that
+        step's plan (`xfield.advect_sums`); they are then spent, since they
+        are not f's.
+        """
+        density = self._group_sums()[:, 0]
+        if self._moved_by is None:
+            rho = density.sum(axis=0)
+        else:
+            rho = advect_sums(density, self._moved_by)
+            self._sums = self._moved_by = None
         phi = self.poisson.solve(rho)
         return self.poisson.electric_field(phi)
 
     def diagnostics(self, e_field) -> DiagnosticsRecord:
-        m0, m1, m2 = moments(self.f, self.moment_weights, self.xgrid.dof_weights)
+        m0, m1, m2 = sum_moments(self._group_sums(), self.x_plan.speeds,
+                                 self.xgrid.dof_weights)
         e_e = field_energy(e_field, self.xgrid)
         return DiagnosticsRecord(
             t=self.t,
@@ -297,18 +352,24 @@ class Simulation:
         left with the trailing half x-step pending; `sync()` applies it.
         The returned record is valid without a sync: its moments are
         x-integrals, which the periodic x-advection keeps, and its field
-        values come from the mid-step field.
+        values come from the mid-step field.  The field comes from the
+        group sums the last record took, when they are still carried,
+        moved by this step's x-step; the record's moments come from sums
+        taken after the v-step, which the next step carries.
 
         Raises RuntimeError, naming the step, when the solved field is not
         finite (a non-finite f reaches it through the charge density).
         """
         c = self.config
-        advect_x(self.f, self.x_plan_full if self.x_pending else self.x_plan)
+        plan = self.x_plan_full if self.x_pending else self.x_plan
+        advect_x(self._f, plan)
+        self._moved_by = plan
         e_field = self.field_solve()
         if not np.isfinite(e_field).all():
             raise RuntimeError(f"non-finite electric field at step {self.n_done + 1}")
-        advect_velocity(self.f, e_field, c.dt, self.sweep_plan, bc=c.bc,
+        advect_velocity(self._f, e_field, c.dt, self.sweep_plan, bc=c.bc,
                         force_slow=c.force_slow)
+        self._sums = None
         self.x_pending = True
         self.t += c.dt
         self.n_done += 1
@@ -317,10 +378,12 @@ class Simulation:
     def sync(self) -> None:
         """Apply a pending trailing half x-step, so `f` holds the state at `t`.
 
-        Does nothing when no half step is pending.
+        Drops the carried group sums.  Does nothing else when no half step
+        is pending.
         """
+        self._sums = None
         if self.x_pending:
-            advect_x(self.f, self.x_plan)
+            advect_x(self._f, self.x_plan)
             self.x_pending = False
 
     @staticmethod

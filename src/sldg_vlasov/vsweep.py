@@ -148,8 +148,16 @@ def _pencil_operators(lm: Shift, disp, group: _PencilGroup, plan: SweepPlan,
         r, c = np.nonzero(vr - vl > 1e-14 * widths[s][:, None])
         raw = overlap_blocks(basis, vl[r, c], vr[r, c], lowers[s[r]], widths[s[r]],
                              src_lo[c], src_w[c], de[r])
-        # A foot can meet a cell and its image (always on a one-cell pencil).
-        np.add.at(op, (j[r], s[r], slice(None), c % n), basis.mass_inv @ raw)
+        blocks = basis.mass_inv @ raw
+        # A periodic foot wider than the pencil's other cells together meets a
+        # cell and that cell's image: on a one-cell pencil always, on a longer
+        # pencil for a wide cell.  Each source cell is met at most once in the
+        # pencil and once as an image, so the image blocks add onto the
+        # in-pencil ones; one assignment for all would keep one block.
+        own = c < n
+        op[j[r[own]], s[r[own]], :, c[own]] = blocks[own]
+        img = ~own
+        op[j[r[img]], s[r[img]], :, c[img] - n] += blocks[img]
     return op.reshape(n_cols, n * o, n * o)
 
 
@@ -484,26 +492,29 @@ def _sweep_block(block, ops, plan: SweepPlan):
     `ops` holds each group's operators for the block's columns.  A group
     without shared cells multiplies a view of its rows.  Any other group
     fills a working block from its runs and its slots' prolonged cells,
-    multiplies it, and stores its runs back and its slots' restrictions
-    into the cells' rows.  A cell can feed several groups, so every slot
-    prolongs before any slot restricts.
+    writes each run's rows of the product straight into the run's rows of
+    f, and multiplies each distinct shared position's rows into a small
+    block from which its slots' restrictions go into the cells' rows.  A
+    cell can feed several groups, so every slot prolongs before any slot
+    restricts.
     """
     n_cols = block.shape[0]
     o, n_tl = plan.basis.n_nodes, plan.n_tl
 
     # Slot views shaped (cells, p+1, n_cols, n_tl) in block and (cells, p+1,
-    # n_cols, k*n_tl) in a working block: one product per cell and node.
+    # n_cols, k*n_tl) in a block of one sweep position's working rows: one
+    # product per cell and node.
     def cells(s):
         return block[:, s.rows].reshape(n_cols, o, -1, n_tl)[:, :, s.cells].transpose(2, 1, 0, 3)
 
-    def lines(work, s):
-        return work[:, s.work, s.lines].reshape(n_cols, o, len(s.prolong), -1).transpose(2, 1, 0, 3)
+    def lines(at, s):
+        return at[:, :, s.lines].reshape(n_cols, o, len(s.prolong), -1).transpose(2, 1, 0, 3)
 
     works = []
     for g in plan.groups:
         works.append(np.empty((n_cols, g.n_cells * o, g.n_lines)) if g.slots else None)
         for s in g.slots:
-            np.matmul(cells(s), s.prolong, out=lines(works[-1], s))
+            np.matmul(cells(s), s.prolong, out=lines(works[-1][:, s.work], s))
     for g, op, work in zip(plan.groups, ops, works):
         if work is None:
             shape = (n_cols, g.n_cells * o, g.n_lines)
@@ -511,10 +522,13 @@ def _sweep_block(block, ops, plan: SweepPlan):
             continue
         for positions, rows in g.runs:
             work[:, positions] = block[:, rows].reshape(n_cols, -1, g.n_lines)
-        out = op @ work
         for positions, rows in g.runs:
-            block[:, rows] = out[:, positions].reshape(n_cols, -1)
+            np.matmul(op[:, positions], work, out=block[:, rows].reshape(n_cols, -1, g.n_lines))
+        at = {}  # the product's rows at each shared position
         for s in g.slots:
+            out = at.get(s.work.start)
+            if out is None:
+                out = at[s.work.start] = op[:, s.work] @ work
             if s.first:
                 np.matmul(lines(out, s), s.restrict, out=cells(s))
             else:

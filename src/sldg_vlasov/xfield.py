@@ -5,7 +5,10 @@ The x-advection reuses the uniform-grid SLDG update with one precomputed
 change, so the shifts are built once before the time loop).  Each group's
 rows update as runs of consecutive equal-speed rows, one contiguous block
 of the x-major field per run; the runs of one x-step share one rolled
-scratch.  The Poisson equation is discretized with continuous finite
+scratch.  The x-step is linear and moves every row of a group alike, so
+the sums of a group's rows (`group_sums`) move by the group's own shift
+(`advect_sums`): the charge density after an x-step comes from sums
+taken before it.  The Poisson equation is discretized with continuous finite
 elements of the same degree on the same cells and solved directly with a
 zero-mean constraint to fix the periodic null space.
 """
@@ -68,12 +71,19 @@ class XAdvectionPlan:
     Each group's rows go as runs of consecutive rows: a run is one
     contiguous block of every x DOF's velocity values when f is stored
     x-major.  `run_lengths` holds the distinct lengths of the moving
-    groups' runs, ascending.
+    groups' runs, ascending.  `speeds` holds each group's speed.  For
+    `advect_sums`, `sources[(g, j), i]` is the flat index, into the groups'
+    sums shaped (n_groups, n_x_dofs), of entry j of destination cell i's
+    (neighbor, same) source window in group g, and `pairs[:, (g, j)]` is
+    column j of group g's pair.
     """
 
     n_cells: int
     groups: tuple
     run_lengths: tuple
+    speeds: np.ndarray
+    sources: np.ndarray
+    pairs: np.ndarray
 
 
 def _positions_by_key(keys) -> list:
@@ -103,7 +113,14 @@ def precompute_x_matrices(xgrid: XGrid, speeds, dt: float) -> XAdvectionPlan:
         for u, (r, ks) in enumerate(zip(rows, runs))
     )
     lengths = {r.stop - r.start for g in groups if g.moving for r in g.runs}
-    return XAdvectionPlan(xgrid.n_cells, groups, tuple(sorted(lengths)))
+    n, o = xgrid.n_cells, xgrid.basis.n_nodes
+    first = (-shift.n_shift - 1) % n  # each group's neighbor source of cell 0
+    # (groups, 2(p+1), n) offsets into a group's sums, each below 2 n (p+1)
+    window = (first[:, None] * o + np.arange(2 * o))[:, :, None] + o * np.arange(n)
+    wrap = np.arange(2 * n * o) % (n * o)
+    sources = (wrap[window] + n * o * np.arange(uniq.size)[:, None, None]).reshape(-1, n)
+    return XAdvectionPlan(n, groups, tuple(sorted(lengths)), uniq, sources,
+                          pair.transpose(1, 0, 2).reshape(o, -1))
 
 
 def advect_x(f, plan: XAdvectionPlan):
@@ -132,9 +149,33 @@ def advect_x(f, plan: XAdvectionPlan):
     return f
 
 
-def compute_rho(f, velocity_weights):
-    """Charge density at the x DOFs: quadrature of f over velocity space."""
-    return np.asarray(velocity_weights) @ f
+def group_sums(f, plan: XAdvectionPlan, weights) -> np.ndarray:
+    """Sums of each speed group's rows of f, one per row of `weights`.
+
+    `f` is shaped (n_velocity_dofs, n_x_dofs), in any memory order, and
+    `weights` (n_weights, n_velocity_dofs).  Returns (n_groups, n_weights,
+    n_x_dofs): one (n_weights, m) @ (m, n_x_dofs) product per run of m rows.
+    With the velocity quadrature weights, the groups' sums add up to the
+    charge density.
+    """
+    sums = np.empty((len(plan.groups), len(weights), f.shape[1]))
+    for g, out in zip(plan.groups, sums):
+        first, *rest = g.runs
+        np.matmul(weights[:, first], f[first], out=out)
+        for run in rest:
+            out += weights[:, run] @ f[run]
+    return sums
+
+
+def advect_sums(sums, plan: XAdvectionPlan) -> np.ndarray:
+    """The x-step of every group's sum, summed over the groups.
+
+    `sums` is shaped (n_groups, n_x_dofs), one weighted sum of each group's
+    rows (`group_sums`).  Every row of a group moves by the group's shift,
+    so this equals the same weighted sum of the x-stepped f up to
+    round-off.  One gather and one product move all groups at once.
+    """
+    return (plan.pairs @ sums.ravel()[plan.sources]).T.ravel()
 
 
 class PoissonSolver:

@@ -10,14 +10,15 @@ from sldg_vlasov.driver import (
     Simulation,
     _peak_indices,
     fit_damping_rate,
-    moments,
     run,
     sample_initial,
+    sum_moments,
     velocity_dof_coords,
     velocity_dof_weights,
 )
+from sldg_vlasov.sldg1d import apply_update
 from sldg_vlasov.vsweep import advect_velocity
-from sldg_vlasov.xfield import advect_x
+from sldg_vlasov.xfield import advect_sums, advect_x, group_sums
 
 from oracle import peak_indices_loop
 
@@ -88,10 +89,32 @@ def test_initial_nonnegative():
     assert (sim.f >= 0).all()
 
 
+def sums_of(sim, f=None):
+    """The per-speed-group sums of `f` (default sim.f) that the simulation takes."""
+    return group_sums(sim.f if f is None else f, sim.x_plan, sim.sum_weights)
+
+
+def moments_of(sim, f=None):
+    """Mass, x-momentum and energy moment of `f` (default sim.f) from its group sums."""
+    return sum_moments(sums_of(sim, f), sim.x_plan.speeds, sim.xgrid.dof_weights)
+
+
+def direct_moments(sim):
+    """The moments of sim.f as three dot products over every velocity DOF."""
+    col = sim.f @ sim.xgrid.dof_weights
+    w, v = sim.vweights, sim.vcoords
+    return w @ col, (w * v[:, 0]) @ col, (w * (v**2).sum(axis=1)) @ col
+
+
+def density_of(sim, f):
+    """Charge density of f as one dot product per x DOF."""
+    return sim.vweights @ f
+
+
 def test_initial_mass_matches_truncated_maxwellian():
     # m0 = L_x * (truncated Maxwellian mass)^dv, pinned by the erf oracle.
     sim = Simulation(SimConfig(dim=3, n_base=8, levels=0, degree=5, n_x=8, n_steps=1))
-    m0, m1, m2 = moments(sim.f, sim.moment_weights, sim.xgrid.dof_weights)
+    m0, m1, m2 = moments_of(sim)
     expect = sim.config.length * erf(6.0 / np.sqrt(2.0)) ** 3
     assert abs(m0 - expect) / expect <= 1e-5
     assert abs(m0 - 4 * np.pi) / (4 * np.pi) <= 1e-5
@@ -101,7 +124,7 @@ def test_initial_mass_matches_truncated_maxwellian():
 def test_moments_zero_field():
     sim = Simulation(small_config())
     z = np.zeros_like(sim.f)
-    assert moments(z, sim.moment_weights, sim.xgrid.dof_weights) == (0.0, 0.0, 0.0)
+    assert moments_of(sim, z) == (0.0, 0.0, 0.0)
 
 
 def test_unperturbed_state_is_fixed_point():
@@ -184,10 +207,67 @@ def test_pending_record_moments_match_synced(key):
     for _ in range(3):
         rec = sim.step()
     sim.sync()
-    m0, m1, m2 = moments(sim.f, sim.moment_weights, sim.xgrid.dof_weights)
+    m0, m1, m2 = direct_moments(sim)
     assert abs(rec.m0 - m0) <= 1e-14 * abs(m0)
     assert abs(rec.m1 - m1) <= 1e-14 * abs(m0)
     assert abs(rec.m2 - m2) <= 1e-14 * abs(m2)
+
+
+# 3V Table-2 q3-4-1 with periodic v, and 1V with two AMR levels, absorbing.
+SUMS_CONFIGS = {
+    "3v": SimConfig(dim=3, n_base=4, levels=1, degree=3, n_x=16, perturbation=0.05,
+                    bc="periodic"),
+    "1v": small_config(levels=2, perturbation=0.05, bc="absorbing"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SUMS_CONFIGS))
+def stepped_sim(request):
+    sim = Simulation(SUMS_CONFIGS[request.param])
+    for _ in range(3):
+        sim.step()
+    return sim
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_moved_sums_give_density_of_x_stepped_copy(stepped_sim, full):
+    # The x-step is linear and moves every row of a speed group alike, so
+    # the groups' sums moved by their own shifts give the charge density of
+    # the x-stepped state.  Measured 4e-16 (1v) and 7e-15 (3v) of max|rho|.
+    sim = stepped_sim
+    plan = sim.x_plan_full if full else sim.x_plan
+    density = sums_of(sim)[:, 0]
+    moved = advect_sums(density, plan)
+    stepped = advect_x(sim.f.copy(), plan)
+    want = density_of(sim, stepped)
+    assert np.abs(moved - want).max() <= 1e-13 * np.abs(want).max()
+    # The batched move is the sum of one apply_update per group.
+    n, o = sim.xgrid.n_cells, sim.xgrid.basis.n_nodes
+    per_group = sum(apply_update(s.reshape(n, o, 1).copy(), g.decomp).ravel()
+                    for g, s in zip(plan.groups, density))
+    assert np.abs(moved - per_group).max() <= 1e-14 * np.abs(per_group).max()
+
+
+def test_moments_from_sums_match_dot_products(stepped_sim):
+    # m1 is round-off zero here, so it is measured against the mass m0.
+    m0, m1, m2 = moments_of(stepped_sim)
+    d0, d1, d2 = direct_moments(stepped_sim)
+    assert abs(m0 - d0) <= 1e-14 * abs(d0)
+    assert abs(m1 - d1) <= 1e-14 * abs(d0)
+    assert abs(m2 - d2) <= 1e-14 * abs(d2)
+
+
+@pytest.mark.parametrize("key", sorted(SUMS_CONFIGS))
+def test_write_into_f_between_steps_is_honoured(key):
+    # A step carries the group sums of its record into the next step's
+    # field; scaling f in place between the steps must drop them.
+    sim = Simulation(SUMS_CONFIGS[key])
+    sim.step()
+    sim.f[...] *= 1.5
+    stepped = advect_x(sim.f.copy(), sim.x_plan_full)
+    e_field = sim.poisson.electric_field(sim.poisson.solve(density_of(sim, stepped)))
+    want = np.abs(e_field).max()
+    assert abs(sim.step().e_max - want) <= 1e-12 * want
 
 
 def test_run_equals_steps_then_sync():

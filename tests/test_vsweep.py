@@ -213,6 +213,22 @@ def test_sweep_amr_mass_conserved_periodic():
     assert abs((quad * out).sum() - (quad * vals).sum()) <= 1e-13
 
 
+def test_sweep_foot_meets_cell_and_its_image():
+    # Displacement -0.8 on [-0.75, 0.75]: the wide cell's foot [0.05, 1.05]
+    # reads cell 0, cell 1 and cell 0's periodic image, so two blocks of one
+    # destination land on one source cell and must be summed.
+    basis = DGBasis(2)
+    widths = np.array([1.0, 0.5])
+    quad = 0.5 * widths[:, None] * basis.weights[None, :]
+    rng = np.random.default_rng(59)
+    vals = rng.standard_normal((3, 2, 3))
+    out = sweep_pencil(vals, widths, -8.0, 0.1, "periodic", basis)
+    mass0, mass1 = (quad * vals).sum(axis=(1, 2)), (quad * out).sum(axis=(1, 2))
+    assert np.abs(mass1 - mass0).max() <= 1e-14 * np.abs(vals).max()
+    const = sweep_pencil(np.full((2, 3), 0.7), widths, -8.0, 0.1, "periodic", basis)
+    assert np.abs(const - 0.7).max() <= 1e-14
+
+
 def test_sweep_zero_input_zero_output():
     basis = DGBasis(3)
     _, widths = _amr_pencil()

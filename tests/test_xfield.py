@@ -9,9 +9,10 @@ from sldg_vlasov.vmesh import build_mesh
 from sldg_vlasov.xfield import (
     PoissonSolver,
     XGrid,
+    advect_sums,
     advect_x,
-    compute_rho,
     field_energy,
+    group_sums,
     precompute_x_matrices,
 )
 
@@ -195,8 +196,54 @@ def test_advect_x_shared_scratch_matches_apply_update_per_run():
         np.testing.assert_array_equal(f, want)
 
 
-def test_compute_rho_zero():
-    assert np.array_equal(compute_rho(np.zeros((8, 6)), np.ones(8)), np.zeros(6))
+def density(f, speeds, weights, xgrid):
+    """Charge density of f as the sum of its speed groups' weighted sums."""
+    plan = precompute_x_matrices(xgrid, speeds, 0.1)
+    return group_sums(f, plan, np.asarray(weights)[None])[:, 0].sum(axis=0)
+
+
+def test_group_sums_zero():
+    xg = XGrid(4, 1, LENGTH)
+    speeds = np.array([0.5, 0.5, -1.0, 0.0, 0.5, 2.0, 2.0, -1.0])
+    plan = precompute_x_matrices(xg, speeds, 0.1)
+    sums = group_sums(np.zeros((8, xg.n_dofs)), plan, np.ones((2, 8)))
+    assert sums.shape == (4, 2, xg.n_dofs)
+    assert np.array_equal(sums, np.zeros_like(sums))
+    assert np.array_equal(density(np.zeros((8, xg.n_dofs)), speeds, np.ones(8), xg),
+                          np.zeros(xg.n_dofs))
+
+
+def test_group_sums_match_rows():
+    # Rows of one speed come as several runs; each group's sum is the
+    # weighted sum of its rows, whatever f's memory order.
+    xg = XGrid(4, 1, LENGTH)
+    speeds = np.array([0.5, 0.5, -1.0, 0.0, 0.5, 2.0, 2.0, -1.0])
+    plan = precompute_x_matrices(xg, speeds, 0.1)
+    rng = np.random.default_rng(37)
+    f = rng.standard_normal((8, xg.n_dofs))
+    weights = rng.random((2, 8))
+    for g, want in zip(plan.groups, np.unique(speeds)):
+        assert (speeds[g.rows] == want).all()
+    for layout in (f, np.ascontiguousarray(f.T).T):
+        sums = group_sums(layout, plan, weights)
+        for g, got in zip(plan.groups, sums):
+            np.testing.assert_allclose(got, weights[:, g.rows] @ f[g.rows], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dt", [0.1, 2.5])
+def test_advect_sums_match_update_per_group(dt):
+    # One gather and one product move every group's sum as apply_update
+    # moves it, one call per group, and sum the groups.  dt = 2.5 shifts
+    # rows by up to about 6 cells of the 5-cell grid.
+    xg = XGrid(5, 4, LENGTH)
+    speeds = np.array([1.3, 1.3, -0.4, 0.0, 7.9, -3.2, -3.2, 1.3])
+    plan = precompute_x_matrices(xg, speeds, dt)
+    sums = np.random.default_rng(53).standard_normal((len(plan.groups), xg.n_dofs))
+    want = np.zeros(xg.n_dofs)
+    for g, s in zip(plan.groups, sums):
+        want += apply_update(s.reshape(5, 5, 1).copy(), g.decomp).ravel()
+    got = advect_sums(sums, plan)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +272,7 @@ def test_rho_unperturbed_maxwellian(maxwell_setup):
     xg = XGrid(4, 2, LENGTH)
     g = maxwellian(coords, 3)
     f = np.ascontiguousarray(np.repeat(g[:, None], xg.n_dofs, axis=1))
-    rho = compute_rho(f, weights)
+    rho = density(f, coords[:, 0], weights, xg)
     assert np.abs(np.diff(rho)).max() <= 1e-13
     # high-resolution quadrature oracle on the same 1D subdivision, cubed
     edges = np.unique(np.concatenate([mesh.lo[:, 0], [mesh.radius]]))
@@ -244,7 +291,7 @@ def test_rho_perturbed_separability(maxwell_setup):
     g = maxwellian(coords, 3)
     pert = 1.0 + 0.01 * np.cos(0.5 * xg.dof_coords)
     f = np.ascontiguousarray(g[:, None] * pert[None, :])
-    rho = compute_rho(f, weights)
+    rho = density(f, coords[:, 0], weights, xg)
     rho_bar = rho.mean()
     np.testing.assert_allclose(rho, rho_bar / pert.mean() * pert, rtol=1e-12)
     assert np.abs(rho - (1.0 + 0.01 * np.cos(0.5 * xg.dof_coords))).max() <= 1e-6
@@ -252,11 +299,13 @@ def test_rho_perturbed_separability(maxwell_setup):
 
 def test_rho_linear_in_f(maxwell_setup):
     mesh, basis, perm, coords, weights = maxwell_setup
+    xg = XGrid(4, 2, LENGTH)
     rng = np.random.default_rng(31)
-    f1 = rng.standard_normal((len(weights), 3))
-    f2 = rng.standard_normal((len(weights), 3))
-    lhs = compute_rho(2.0 * f1 - 0.5 * f2, weights)
-    rhs = 2.0 * compute_rho(f1, weights) - 0.5 * compute_rho(f2, weights)
+    f1 = rng.standard_normal((len(weights), xg.n_dofs))
+    f2 = rng.standard_normal((len(weights), xg.n_dofs))
+    lhs = density(2.0 * f1 - 0.5 * f2, coords[:, 0], weights, xg)
+    rhs = (2.0 * density(f1, coords[:, 0], weights, xg)
+           - 0.5 * density(f2, coords[:, 0], weights, xg))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
