@@ -17,15 +17,15 @@ accumulation).  The restrictions sum to the identity on the
 prolongations, so mass and every transverse moment of degree <= p are
 preserved, and the transfers commute with a pencil's operator.
 
-The plan also fixes the row order of the velocity DOFs: each group's rows
-run by sweep position, then by line, so for every x column a group whose
-cells lie in no other pencil is a contiguous (positions, lines) matrix
-that the operator multiplies in place.  Shared cells' rows come last, in
-classes of equal extent along the sweep axis, node-major, cells in
-Z-order; a group with shared cells orders its pencils in Z-order too, so
-each run of a class's cells, each in k consecutive pencils of the group,
-is prolonged straight from f into the group's working block and
-restricted straight back with one batched product each.
+The plan also fixes the row order of the velocity DOFs: a run of a
+group's owned positions is stored by position, then by line, so for every
+x column it is a contiguous (positions, lines) matrix, copied into the
+group's working block and written back by the operator's product.  Shared
+cells' rows come last, in classes of equal extent along the sweep axis,
+node-major, cells in Z-order; a group with shared cells orders its
+pencils in Z-order too, so each run of a class's cells, each in k
+consecutive pencils of the group, is prolonged straight from f into the
+working block and restricted straight back with one batched product each.
 """
 from __future__ import annotations
 
@@ -205,7 +205,8 @@ class _PencilGroup:
     (owned) and shares the cells at the others.  Owned positions go as
     runs of consecutive positions: a run (positions, rows) covers working
     rows `positions` and is stored in f at `rows`, shaped (cells, p+1,
-    lines) per x column.  Shared positions are filled and emptied by the
+    lines) per x column; the operator's product with the working block
+    writes them back.  Shared positions are filled and emptied by the
     group's transfer slots.  `before` and `after` are each cell's
     same-level reach (`classify_conforming`), which picks the cells that
     take the fast path at each shift.
@@ -218,7 +219,6 @@ class _PencilGroup:
     after: np.ndarray
     n_lines: int
     n_cells: int
-    rows: slice               # all of the group's owned rows
     runs: tuple
     slots: tuple              # _Slot, in restriction order
 
@@ -259,7 +259,7 @@ class SweepPlan:
     Row r of f holds cell-local DOF order[r] (cell*(p+1)^dim + local id).
     Each pencil group owns a range of rows, its runs, in which every run
     of lines at one sweep position is contiguous, so equal-speed rows sit
-    together and a group with no shared cell sweeps its rows in place.
+    together and each run is one (positions, lines) matrix per x column.
     The rows of cells lying in several pencils (shared cells) come last,
     in classes of equal extent along the sweep axis (equal speeds at each
     node), each shaped (p+1, cells, n_tl) with its cells in Z-order.  The
@@ -398,7 +398,6 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
         if mixed.any():
             qs = qs[np.argsort(_z_order(pset.t_lowers[qs], mesh.radius, finest), kind="stable")]
         entries = pset.offsets[qs][:, None] + np.arange(n_cells)
-        group_start = n_rows
         runs = []
         for c in index_runs(np.flatnonzero(~mixed)):
             part = pset.cell_ids[entries[:, c]].T[:, None, :, None] * n_local + lines.T[:, None]
@@ -446,7 +445,6 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
                 after=after,
                 n_lines=len(qs) * n_tl,
                 n_cells=n_cells,
-                rows=slice(group_start, n_rows),
                 runs=tuple(runs),
                 slots=tuple(slots),
             )
@@ -469,13 +467,14 @@ def build_sweep_plan(mesh: VelocityMesh, basis: DGBasis,
 
 
 # Columns are swept this many at a time.  The operators are assembled once
-# per sweep, so the block size sets only the working set: the block of f,
-# its products and the mixed groups' working blocks.  A 32-column block of
-# f is 2.0 MB on the q3-4-1 mesh and 3.5 MB on q5-4-0, as large as a 2 MB
-# L2 cache or larger; 8 columns keep it well inside.  One sweep of the state after 3
-# steps (ms, one BLAS thread on a 2-core Xeon VM, median of 7) at 4/8/16/32
-# columns: q5-4-0 2.9-3.1/3.1/3.7-3.8/3.7-3.8, q3-4-1 with periodic v
-# 4.8/4.5/4.8-4.9/5.2, q3-4-2 with periodic v 10.3-10.4/10.6/10.8/11.3.
+# per sweep, so the block size sets only the working set: the block of f
+# and every group's working block.  A 32-column block of f is 2.0 MB on the
+# q3-4-1 mesh and 3.5 MB on q5-4-0, as large as a 2 MB L2 cache or larger;
+# 8 columns keep it well inside.  One sweep of the state after 3 steps (ms,
+# one BLAS thread on a 2-core Xeon VM in a slow phase, median of 7, two
+# runs) at 4/8/16/32 columns: q5-4-0 5.9-6.4/6.1-6.8/7.2-8.3/7.6-8.4,
+# q3-4-1 with periodic v 7.2-7.8/6.3-6.8/6.1-7.0/6.6-7.6, q3-4-2 with
+# periodic v 16.9-17.4/14.3-15.8/15.0-15.6/16.1-17.4.
 _COLUMN_BLOCK = 8
 
 
@@ -489,14 +488,12 @@ def _column_blocks(cols):
 def _sweep_block(block, ops, plan: SweepPlan):
     """Sweep a C-contiguous (n_cols, n_dofs) block of x columns in place.
 
-    `ops` holds each group's operators for the block's columns.  A group
-    without shared cells multiplies a view of its rows.  Any other group
-    fills a working block from its runs and its slots' prolonged cells,
-    writes each run's rows of the product straight into the run's rows of
-    f, and multiplies each distinct shared position's rows into a small
-    block from which its slots' restrictions go into the cells' rows.  A
-    cell can feed several groups, so every slot prolongs before any slot
-    restricts.
+    `ops` holds each group's operators for the block's columns.  Each
+    group fills a working block from its runs and its slots' prolonged
+    cells, writes each run's rows of the product straight into the run's
+    rows of f, and multiplies each slot's position into a small block from
+    which the slot's restrictions go into the cells' rows.  A cell can feed
+    several groups, so every slot prolongs before any slot restricts.
     """
     n_cols = block.shape[0]
     o, n_tl = plan.basis.n_nodes, plan.n_tl
@@ -510,25 +507,17 @@ def _sweep_block(block, ops, plan: SweepPlan):
     def lines(at, s):
         return at[:, :, s.lines].reshape(n_cols, o, len(s.prolong), -1).transpose(2, 1, 0, 3)
 
-    works = []
-    for g in plan.groups:
-        works.append(np.empty((n_cols, g.n_cells * o, g.n_lines)) if g.slots else None)
+    works = [np.empty((n_cols, g.n_cells * o, g.n_lines)) for g in plan.groups]
+    for g, work in zip(plan.groups, works):
         for s in g.slots:
-            np.matmul(cells(s), s.prolong, out=lines(works[-1][:, s.work], s))
+            np.matmul(cells(s), s.prolong, out=lines(work[:, s.work], s))
     for g, op, work in zip(plan.groups, ops, works):
-        if work is None:
-            shape = (n_cols, g.n_cells * o, g.n_lines)
-            block[:, g.rows] = (op @ block[:, g.rows].reshape(shape)).reshape(n_cols, -1)
-            continue
         for positions, rows in g.runs:
             work[:, positions] = block[:, rows].reshape(n_cols, -1, g.n_lines)
         for positions, rows in g.runs:
             np.matmul(op[:, positions], work, out=block[:, rows].reshape(n_cols, -1, g.n_lines))
-        at = {}  # the product's rows at each shared position
         for s in g.slots:
-            out = at.get(s.work.start)
-            if out is None:
-                out = at[s.work.start] = op[:, s.work] @ work
+            out = op[:, s.work] @ work
             if s.first:
                 np.matmul(lines(out, s), s.restrict, out=cells(s))
             else:
@@ -549,8 +538,8 @@ def advect_velocity(f, speeds, dt, plan: SweepPlan, bc: str = ABSORBING,
     C-contiguous (n_cols, n_dofs) block of f.T: a view when f.T is
     C-contiguous, else a copy stored back afterwards, so every memory order
     runs the same products.  Each group applies its block's operators to
-    all of its lines with one batched product.  Updates f in place and
-    returns it.
+    all of its lines, one batched product per run and per slot.  Updates f
+    in place and returns it.
     """
     check_bc(bc)
     if getattr(f, "dtype", None) != np.float64:

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, wofz
 
 from sldg_vlasov.driver import (
     LANDAU_RATE_K05,
@@ -308,6 +308,25 @@ def test_fused_steps_close_to_strict_strang(key):
     fused.sync()
     diff = np.abs(fused.f - strict.f).max() / np.abs(strict.f).max()
     assert diff <= FUSED_VS_STRICT_TOL[key]
+
+
+def test_landau_rate_is_the_linear_theory_root():
+    # The k = 0.5 root of the Maxwellian dispersion relation
+    # D(w) = 1 + (1 + z Z(z)) / k^2 = 0, z = w / (k sqrt 2), with the plasma
+    # dispersion function Z = i sqrt(pi) wofz(z) and Z' = -2 (1 + z Z), by
+    # Newton's method (the root is 1.415661889 - 0.153359467i).
+    k = 0.5
+    scale = k * np.sqrt(2.0)
+    omega = 1.4 - 0.15j
+    for _ in range(50):
+        z = omega / scale
+        zz = 1j * np.sqrt(np.pi) * wofz(z)
+        d = 1.0 + (1.0 + z * zz) / k**2
+        if abs(d) < 1e-12:
+            break
+        omega -= d / ((zz - 2.0 * z * (1.0 + z * zz)) / (k**2 * scale))
+    assert abs(d) < 1e-12
+    assert abs(LANDAU_RATE_K05 - omega.imag) <= 1e-3 * abs(omega.imag)
 
 
 def test_fit_synthetic_envelope():

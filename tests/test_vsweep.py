@@ -562,6 +562,30 @@ def test_advect_column_blocks_independent(sweep_plans, monkeypatch):
                 assert np.abs(other - default).max() <= tol, (name, bc, size)
 
 
+def test_sweep_block_slot_free_groups_are_one_product(amr_setup):
+    # A group without shared cells is one run, which the working block
+    # carries through: its rows of the swept block are, bit for bit, each
+    # column's operator times the rows as a (positions, lines) matrix.
+    plans = [(amr_setup[3], "4^3+AMR1 p=3"),
+             (build_sweep_plan(build_mesh(3, 4, 0, 6.0), DGBasis(2)), "4^3 p=2")]
+    rng = np.random.default_rng(73)
+    n_cols = 3
+    for plan, name in plans:
+        o = plan.basis.n_nodes
+        block = rng.standard_normal((n_cols, plan.n_dofs))
+        ops = [rng.standard_normal((n_cols, g.n_cells * o, g.n_cells * o)) for g in plan.groups]
+        before = block.copy()
+        vsweep._sweep_block(block, ops, plan)
+        free = [(g, op) for g, op in zip(plan.groups, ops) if not g.slots]
+        assert free, name
+        for g, op in free:
+            (positions, rows), = g.runs
+            assert positions == slice(0, g.n_cells * o), name
+            want = op @ before[:, rows].reshape(n_cols, -1, g.n_lines)
+            got = block[:, rows].reshape(n_cols, -1, g.n_lines)
+            assert np.array_equal(got, want), name
+
+
 def test_advect_rejects_nonfinite_speed_before_sweeping(amr_setup):
     # A bad speed in a later block must not leave the earlier blocks swept.
     plan = amr_setup[3]
