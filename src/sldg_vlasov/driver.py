@@ -11,8 +11,8 @@ x-step, and `Simulation.sync()` applies a pending half step on its own.
 
 A step makes three passes over f: the x-step and the v-sweep, which read
 and write it, and one read pass after the v-sweep that sums each x speed
-group's rows with the velocity weights w and, in 3V, with
-w (v_y^2 + v_z^2) (`xfield.group_sums`).  The record's moments come from
+group's rows with the velocity weights w and with w (v_y^2 + v_z^2),
+which is zero in 1V (`xfield.group_sums`).  The record's moments come from
 these sums.  So does the next step's charge density: the x-step is
 linear and moves a group's rows alike, so the group's sum moved by the
 group's own shift (`xfield.advect_sums`) is the sum of the moved rows.
@@ -188,12 +188,11 @@ def sample_initial(config: SimConfig, vcoords, xcoords) -> np.ndarray:
 
 
 def sum_weights(velocity_weights, vcoords) -> np.ndarray:
-    """Velocity weights of the per-speed-group sums of f, shaped (1 + (dim > 1), n_v).
+    """Velocity weights of the per-speed-group sums of f, shaped (2, n_v).
 
-    Row 0 holds the quadrature weights w; in 3V, row 1 holds w (v_y^2 + v_z^2).
+    Row 0 holds the quadrature weights w and row 1 w (v_y^2 + v_z^2),
+    which is w * 0 in 1V.
     """
-    if vcoords.shape[1] == 1:
-        return velocity_weights[None]
     perp2 = sum(c**2 for c in vcoords.T[1:])  # one pass per axis, far faster than a row-wise sum
     return np.stack([velocity_weights, velocity_weights * perp2])
 
@@ -208,7 +207,7 @@ def sum_moments(sums, speeds, x_weights):
     """
     c = sums @ x_weights
     c0 = c[:, 0]
-    return float(c0.sum()), float(speeds @ c0), float(speeds**2 @ c0 + c[:, 1:].sum())
+    return float(c0.sum()), float(speeds @ c0), float(speeds**2 @ c0 + c[:, 1].sum())
 
 
 def _peak_indices(values) -> np.ndarray:

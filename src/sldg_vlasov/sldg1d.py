@@ -92,7 +92,8 @@ def shift_matrices(basis: DGBasis, speed, dt: float, width: float) -> Shift:
     displacement 2*frac.  A zero remainder gives exactly (I, 0).
     """
     for name, value in (("cell width", width), ("time step dt", dt)):
-        if not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or not 0.0 < value < np.inf):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     ratio = np.asarray(speed, dtype=float) * dt / width
     if not np.isfinite(ratio).all():
@@ -133,7 +134,7 @@ def cell_windows(ext):
     return np.ndarray(shape, ext.dtype, ext, strides=ext.strides)
 
 
-def apply_update(values, shift: Shift, windows=None, pair=None):
+def apply_update(values, shift: Shift, windows, pair):
     """One periodic SLDG advection step on a uniform pencil, in place.
 
     `values` is a float array shaped (..., n_cells, p+1, n_lines), updated
@@ -143,18 +144,12 @@ def apply_update(values, shift: Shift, windows=None, pair=None):
     ext[i] = values[(i + first) % n_cells] with first = (-n_shift - 1) %
     n_cells, so window i of the scratch holds destination cell i's
     (neighbor, same) sources; one product of pair = [neighbor | same] over
-    all windows then writes straight into `values`.  `windows` (the
-    `cell_windows` of such a scratch) and `pair` may be passed in prebuilt;
-    otherwise they are made here.  Returns `values`.
+    all windows then writes straight into `values`.  `windows` is the
+    `cell_windows` view of such a scratch.  Returns `values`.
     """
     if values.ndim < 3:
         raise ValueError("expected pencil values of shape (..., n_cells, p+1, n_lines)")
     n, o = values.shape[-3:-1]
-    if windows is None:
-        windows = cell_windows(np.empty(values.shape[:-3] + (n + 1,) + values.shape[-2:],
-                                        values.dtype))
-    if pair is None:
-        pair = np.concatenate([shift.neighbor, shift.same], axis=-1)
     first = (-shift.n_shift - 1) % n
     # Scratch cells 0 .. n - first - 1 are the first halves of the leading
     # windows, cells n - first .. n the second halves of the trailing ones.

@@ -35,7 +35,8 @@ class XGrid:
             raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
         if n_cells < 4:
             raise ValueError(f"need at least 4 x-cells, got {n_cells}")
-        if not isinstance(length, numbers.Real) or not 0 < length < np.inf:
+        if (not isinstance(length, numbers.Real) or isinstance(length, bool)
+                or not 0 < length < np.inf):
             raise ValueError(f"domain length must be positive and finite, got {length!r}")
         self.n_cells = int(n_cells)
         self.length = float(length)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 
 from sldg_vlasov.pencil import PencilSet
-from sldg_vlasov.sldg1d import PERIODIC, apply_update, check_bc
+from sldg_vlasov.sldg1d import PERIODIC, apply_update, cell_windows, check_bc
 from sldg_vlasov.vsweep import sweep_pencil
 
 
@@ -118,9 +118,22 @@ def apply_update_two_products(values, shift):
     return values
 
 
+def apply_update_fresh(values, shift):
+    """sldg1d.apply_update with a scratch and a [neighbor | same] pair of its own.
+
+    The x-advection shares one scratch across its runs and keeps each
+    group's pair in its plan; this builds both for the one call.
+    """
+    n = values.shape[-3]
+    windows = cell_windows(np.empty(values.shape[:-3] + (n + 1,) + values.shape[-2:],
+                                    values.dtype))
+    pair = np.concatenate([shift.neighbor, shift.same], axis=-1)
+    return apply_update(values, shift, windows, pair)
+
+
 def apply_update_cells(values, shift):
     """sldg1d.apply_update on a copy of values shaped (..., n_cells, p+1)."""
-    return apply_update(np.array(values, dtype=float)[..., None], shift)[..., 0]
+    return apply_update_fresh(np.array(values, dtype=float)[..., None], shift)[..., 0]
 
 
 def projection_oracle(values, displacement: float, width: float, basis, bc: str = PERIODIC):

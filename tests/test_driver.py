@@ -16,11 +16,10 @@ from sldg_vlasov.driver import (
     velocity_dof_coords,
     velocity_dof_weights,
 )
-from sldg_vlasov.sldg1d import apply_update
 from sldg_vlasov.vsweep import advect_velocity
 from sldg_vlasov.xfield import advect_sums, advect_x, group_sums
 
-from oracle import peak_indices_loop
+from oracle import apply_update_fresh, peak_indices_loop
 
 
 def small_config(**kw):
@@ -243,9 +242,19 @@ def test_moved_sums_give_density_of_x_stepped_copy(stepped_sim, full):
     assert np.abs(moved - want).max() <= 1e-13 * np.abs(want).max()
     # The batched move is the sum of one apply_update per group.
     n, o = sim.xgrid.n_cells, sim.xgrid.basis.n_nodes
-    per_group = sum(apply_update(s.reshape(n, o, 1).copy(), g.decomp).ravel()
+    per_group = sum(apply_update_fresh(s.reshape(n, o, 1).copy(), g.decomp).ravel()
                     for g, s in zip(plan.groups, density))
     assert np.abs(moved - per_group).max() <= 1e-14 * np.abs(per_group).max()
+
+
+def test_sum_weights_have_two_rows_in_both_dimensions(stepped_sim):
+    # 1V and 3V take their sums through one reduction: row 1 is the
+    # transverse energy weight, zero in 1V.
+    w, v = stepped_sim.vweights, stepped_sim.vcoords
+    weights = stepped_sim.sum_weights
+    assert weights.shape == (2, w.size)
+    assert np.array_equal(weights[0], w)
+    np.testing.assert_allclose(weights[1], w * (v[:, 1:] ** 2).sum(axis=1), rtol=1e-15, atol=0)
 
 
 def test_moments_from_sums_match_dot_products(stepped_sim):

@@ -6,7 +6,8 @@ from sldg_vlasov.sldg1d import (ABSORBING, PERIODIC, Shift, apply_update, cell_w
                                 shift_matrices)
 from sldg_vlasov.vsweep import sweep_pencil
 
-from oracle import apply_update_cells, apply_update_two_products, projection_oracle
+from oracle import (apply_update_cells, apply_update_fresh, apply_update_two_products,
+                    projection_oracle)
 
 
 _B1 = DGBasis(1)
@@ -61,8 +62,9 @@ def test_decompose_rejects_bad_inputs():
             shift_matrices(_B1, 1.0, 0.1, bad)
         with pytest.raises(ValueError, match="dt"):
             shift_matrices(_B1, 1.0, bad, 0.1)
-    # A non-numeric step or width used to raise a bare TypeError.
-    for bad in ("0.1", None, 0.1 + 0j):
+    # A non-numeric step or width used to raise a bare TypeError, and a bool
+    # passed as 1.0.
+    for bad in ("0.1", None, 0.1 + 0j, True):
         with pytest.raises(ValueError, match="dt"):
             shift_matrices(_B1, 1.0, bad, 1.0)
         with pytest.raises(ValueError, match="width"):
@@ -189,7 +191,7 @@ def test_apply_update_matches_two_products_on_strided_view(p, n):
         view = a[:, :, 5:17].reshape(2, n, p + 1, 12)
         assert not view.flags.c_contiguous and np.shares_memory(view, a)
         want = apply_update_two_products(view.copy(), d)
-        assert apply_update(view, d) is view
+        assert apply_update_fresh(view, d) is view
         scale = np.abs(before[:, :, 5:17]).max()
         assert np.abs(view - want).max() <= 1e-14 * scale
         outside = np.ones(40, dtype=bool)

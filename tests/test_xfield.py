@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sldg_vlasov.basis import DGBasis
-from sldg_vlasov.sldg1d import apply_update, index_runs, shift_matrices
+from sldg_vlasov.sldg1d import index_runs, shift_matrices
 from sldg_vlasov.driver import maxwellian, velocity_dof_coords, velocity_dof_weights
 from sldg_vlasov.tensor import build_permutation
 from sldg_vlasov.vmesh import build_mesh
@@ -16,7 +16,7 @@ from sldg_vlasov.xfield import (
     precompute_x_matrices,
 )
 
-from oracle import projection_oracle
+from oracle import apply_update_fresh, projection_oracle
 
 LENGTH = 4.0 * np.pi  # 2 pi / k with k = 0.5
 
@@ -40,8 +40,9 @@ def test_xgrid_layout(xgrid):
     for length in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="length"):
             XGrid(8, 2, length)
-    # A non-numeric length used to raise a bare TypeError from the comparison.
-    for length in ("3.0", None, 1 + 2j):
+    # A non-numeric length used to raise a bare TypeError from the comparison,
+    # and a bool passed as 1.0.
+    for length in ("3.0", None, 1 + 2j, True):
         with pytest.raises(ValueError, match="length"):
             XGrid(8, 2, length)
 
@@ -187,7 +188,7 @@ def test_advect_x_shared_scratch_matches_apply_update_per_run():
         if g.moving:
             for run in g.runs:
                 block = f0[run].T.reshape(5, 3, -1).copy()
-                want[run] = apply_update(block, g.decomp).reshape(xg.n_dofs, -1).T
+                want[run] = apply_update_fresh(block, g.decomp).reshape(xg.n_dofs, -1).T
     for row, shift in enumerate(cells):
         exact = projection_oracle(f0[row].reshape(5, 3), shift, xg.h, xg.basis)
         assert np.abs(want[row] - exact.ravel()).max() <= 1e-12
@@ -241,7 +242,7 @@ def test_advect_sums_match_update_per_group(dt):
     sums = np.random.default_rng(53).standard_normal((len(plan.groups), xg.n_dofs))
     want = np.zeros(xg.n_dofs)
     for g, s in zip(plan.groups, sums):
-        want += apply_update(s.reshape(5, 5, 1).copy(), g.decomp).ravel()
+        want += apply_update_fresh(s.reshape(5, 5, 1).copy(), g.decomp).ravel()
     got = advect_sums(sums, plan)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
